@@ -32,7 +32,7 @@ from .measures import build_phi_star, constant_speed_fields, verify_bounds
 from .models import (ModelConstructionError, ScalarCouplingModel,
                      SystemCouplingModel, model_from_config, preset_model)
 from .scalar import ScalarSolveConfig, solve_scalar
-from .spectral import spectral_sweep
+from .spectral import eigen_fields
 from .system import SystemSolveConfig, solve_system
 
 SCHEMA_VERSION = 1
@@ -76,14 +76,15 @@ class RunConfig:
     def validate(self):
         for name in ("eps", "p", "M", "fix_tol"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {val}")
+            if val is not None and (not np.isfinite(val) or val <= 0):
+                raise ConfigError(f"--{name.replace('_', '-')} must be a positive "
+                                  f"finite number, got {val}")
         if self.grid is not None and self.grid < 64:
             raise ConfigError(f"--grid must be >= 64, got {self.grid}")
         if self.eps_ladder is not None:
             lad = [float(x) for x in self.eps_ladder]
-            if any(x <= 0 for x in lad):
-                raise ConfigError("--eps-ladder entries must be positive")
+            if any(not np.isfinite(x) or x <= 0 for x in lad):
+                raise ConfigError("--eps-ladder entries must be positive finite numbers")
             if any(b >= a for a, b in zip(lad, lad[1:])):
                 raise ConfigError("ladder must be strictly decreasing")
             self.eps_ladder = lad
@@ -317,13 +318,13 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
     u0 = (np.asarray(cfg.u, dtype=float) if cfg.u is not None else model.u_ref)
     U = np.tile(np.atleast_1d(u0), (n, 1))
-    sweep = spectral_sweep(model, U, v, xi)
+    sweep = eigen_fields(model, U, v, xi)
     N = model.N
     header = ["xi"] + [f"mu_{i + 1}" for i in range(N)] \
         + [f"lambda_{i + 1}" for i in range(N)] + [f"d_{i + 1}" for i in range(N)]
-    cols = [xi] + [sweep["mu"][:, i] for i in range(N)] \
-        + [sweep["lambda_hat"][:, i] for i in range(N)] \
-        + [sweep["d"][:, i] for i in range(N)]
+    cols = [xi] + [sweep.mu[:, i] for i in range(N)] \
+        + [sweep.lambda_hat[:, i] for i in range(N)] \
+        + [sweep.d[:, i] for i in range(N)]
     write_csv(out / "sweep.csv", header, cols)
     write_json(out / "diagnostics.json", {
         "eps": eps, "M": M, "grid": n, "u": np.atleast_1d(u0),
@@ -359,8 +360,8 @@ def _model_factories(cfg: RunConfig, model: SystemCouplingModel):
         xi = uniform_grid(M, n)
         v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
         U = np.tile(model.u_ref, (n, 1))
-        sweep = spectral_sweep(model, U, v, xi)
-        return build_phi_star(xi, sweep["mu"], eps, model.lam_low, model.lam_high)
+        mu = eigen_fields(model, U, v, xi).mu
+        return build_phi_star(xi, mu, eps, model.lam_low, model.lam_high)
 
     def psi_factory(eps):
         n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
@@ -405,16 +406,14 @@ def _cmd_continuation(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     ladder = _eps_list(cfg, need_ladder=True)
     base = _scalar_config(cfg, model, ladder[0])
     report = epsilon_continuation(model, base, float(cfg.uL), float(cfg.uR), ladder)
+    solutions = report.pop("solutions")
+    if report["failures"]:
+        first = report["failures"][0]
+        raise RuntimeError(f"rung eps={first['eps']:g}: {first['error']}")
 
     outputs = []
-    # re-solve to emit per-eps curves (cheap relative to the ladder itself)
-    import dataclasses as _dc
-    prev = None
-    for eps in ladder:
-        sol = solve_scalar(model, _dc.replace(base, eps=eps),
-                           float(cfg.uL), float(cfg.uR), initial=prev)
-        prev = sol.u
-        name = f"solution_eps{_eps_tag(eps)}.csv"
+    for sol in solutions:
+        name = f"solution_eps{_eps_tag(sol.eps)}.csv"
         write_csv(out / name, ["xi", "u", "v", "h"],
                   [sol.u.xi, sol.u.values, sol.v.values, sol.h.values])
         outputs.append(name)

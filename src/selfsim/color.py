@@ -23,8 +23,8 @@ class ColorProfile:
     normalization: float = field(init=False)
 
     def __post_init__(self):
-        if self.eps <= 0 or self.p <= 0 or self.M <= 0:
-            raise ValueError("eps, p and M must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p, self.M)):
+            raise ValueError("eps, p and M must be positive finite numbers")
         a = self._scale()
         norm = a * np.sqrt(np.pi) * erf(self.M / a)
         object.__setattr__(self, "normalization", float(norm))

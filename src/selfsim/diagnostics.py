@@ -255,7 +255,7 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
                          eps_ladder: Sequence[float]) -> dict:
     """Warm-started solves along a strictly decreasing eps ladder with
     pairwise L1 distances, TV trace, and a pointwise-Cauchy verdict away from
-    steep-wave neighborhoods."""
+    steep-wave neighborhoods; ``solutions`` holds the converged solves."""
     eps_ladder = [float(e) for e in eps_ladder]
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
@@ -307,6 +307,7 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
         "pointwise_sups": cauchy_sups,
         "pointwise_cauchy": nonincreasing(cauchy_sups) if cauchy_sups else True,
         "tv_trace": [r["tv"] for r in records],
+        "solutions": solutions,
     }
 
 

@@ -65,9 +65,6 @@ class GridFunction:
         d = np.diff(self.values)
         return bool(np.all(d >= -slack) or np.all(d <= slack))
 
-    def map(self, fn) -> "GridFunction":
-        return GridFunction(self.xi, fn(self.values))
-
 
 def uniform_grid(M: float, n: int) -> np.ndarray:
     return np.linspace(-M, M, n)

@@ -147,8 +147,20 @@ def build_scalar_model(
 # system model
 
 
+def _leading_shape(u, v) -> tuple:
+    """Shape of the stack of points given by states u (..., N) and colors v."""
+    return np.broadcast_shapes(np.shape(u)[:-1], np.shape(v))
+
+
 @dataclass(frozen=True)
 class SystemCouplingModel:
+    """Small-system coupling model.
+
+    ``A0``, ``A1`` and ``B0`` take states u of shape (..., N) and colors v
+    that broadcast to the leading shape, and return matrices (..., N, N);
+    ``A`` and ``B`` inherit the same stacked contract.
+    """
+
     N: int
     A0: Callable
     A1: Callable
@@ -181,13 +193,6 @@ class SystemCouplingModel:
         return self.u_ref[None, :] + pts
 
 
-def _eig_lambda(A: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvals(A)
-    if np.max(np.abs(w.imag)) > 1e-9 * max(1.0, np.max(np.abs(w.real))):
-        raise ModelConstructionError("complex eigenvalues: loss of hyperbolicity")
-    return np.sort(w.real)
-
-
 def build_p_system_model(
     p_minus: Callable,
     p_plus: Callable,
@@ -214,13 +219,16 @@ def build_p_system_model(
         return wv * dpp(tau) + (1.0 - wv) * dpm(tau)
 
     def A1(u, v):
-        tau = u[0]
-        return np.array([[0.0, -1.0], [pbar_prime(tau, v), 0.0]])
+        c = pbar_prime(np.asarray(u, dtype=float)[..., 0], v)
+        out = np.zeros(np.shape(c) + (2, 2))
+        out[..., 0, 1] = -1.0
+        out[..., 1, 0] = c
+        return out
 
     eye = np.eye(2)
 
     def A0(u, v):
-        return eye
+        return np.broadcast_to(eye, _leading_shape(u, v) + (2, 2))
 
     B0 = A0
 
@@ -281,7 +289,8 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
 
     def wrap(f):
         def mat(u, v):
-            return np.array([[float(f(float(u[0]), float(v)))]])
+            vals = np.asarray(f(np.asarray(u, dtype=float)[..., 0], v), dtype=float)
+            return np.broadcast_to(vals, _leading_shape(u, v))[..., None, None]
         return mat
 
     us = np.linspace(u_center - delta0, u_center + delta0, samples)

@@ -48,8 +48,8 @@ class ScalarSolveConfig:
     relaxation: float = 0.5
 
     def __post_init__(self):
-        if self.eps <= 0 or self.p <= 0 or self.M <= 0:
-            raise ValueError("eps, p, M must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p, self.M)):
+            raise ValueError("eps, p, M must be positive finite numbers")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.grid_size is not None and self.grid_size < 64:

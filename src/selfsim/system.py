@@ -24,9 +24,15 @@ from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
 from .models import SystemCouplingModel
 from .quadrature import weighted_transfer
-from .spectral import align_to, solve_generalized_eigen
+from .spectral import eigen_fields
 
 PHI_SUM_FLOOR = 1e-300
+
+# central-difference steps of the coefficient fields: state (x delta0),
+# color and xi
+U_STEP_SCALE = 1e-5
+V_STEP = 1e-5
+XI_STEP = 1e-5
 
 
 class SmallnessViolation(RuntimeError):
@@ -63,13 +69,10 @@ class SystemSolveConfig:
     outer_max_iters: int = 40
     relaxation: float = 1.0
     envelope_constant: float | None = None  # fitted from a probe when None
-    u_step_scale: float = 1e-5  # x delta0 for state-direction differences
-    v_step: float = 1e-5
-    xi_step: float = 1e-5
 
     def __post_init__(self):
-        if self.eps <= 0 or self.p <= 0:
-            raise ValueError("eps and p must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p)):
+            raise ValueError("eps and p must be positive finite numbers")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
 
@@ -99,78 +102,49 @@ class CoefficientFields:
     def N(self) -> int:
         return self.mu.shape[1]
 
-    def pi(self, eta: float) -> np.ndarray | None:
-        """pi itself, defined only when eta > 0."""
-        if eta <= 0:
-            return None
-        return self.eta_pi / eta
-
 
 def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
-                          v: np.ndarray, xi: np.ndarray, psi: np.ndarray,
-                          config: SystemSolveConfig) -> CoefficientFields:
+                          v: np.ndarray, xi: np.ndarray,
+                          psi: np.ndarray) -> CoefficientFields:
     """Pointwise eigendata plus the central-difference coefficients of the
     characteristic ODE system, sign-matched along the grid."""
-    n = len(xi)
     N = model.N
-    U = np.asarray(U, dtype=float).reshape(n, N)
-    hu = config.u_step_scale * model.delta0
-    hv = config.v_step
-    hx = config.xi_step
+    U = np.asarray(U, dtype=float).reshape(len(xi), N)
+    v = np.asarray(v, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    hu = U_STEP_SCALE * model.delta0
 
-    mu = np.empty((n, N))
-    lam = np.empty((n, N))
-    dd = np.empty((n, N))
-    R = np.empty((n, N, N))
-    L = np.empty((n, N, N))
-    eta_pi = np.empty((n, N, N))
-    kappa = np.empty((n, N, N, N))
-    sigma = np.empty((n, N, N))
-    A0_inv = np.empty((n, N, N))
+    base = eigen_fields(model, U, v, xi)
+    L = base.l_hat
+    A0_inv = np.linalg.inv(np.asarray(model.A0(U, v), dtype=float))
 
-    prev = None
-    for k in range(n):
-        u, vk, x = U[k], float(v[k]), float(xi[k])
-        base = solve_generalized_eigen(model, u, vk, x)
-        if prev is not None:
-            base = align_to(prev, base)
-        prev = base.r_hat
-        mu[k], lam[k], dd[k] = base.mu, base.lambda_hat, base.d
-        R[k], L[k] = base.r_hat, base.l_hat
-        A0_inv[k] = np.linalg.inv(np.asarray(model.A0(u, vk), dtype=float))
-        B = model.B(u, vk)
-        rcols = base.r_hat.T  # columns are r_hat_j
+    def r_cols(dU, dv, dxi):
+        """Columns r_hat_j at the shifted points, signs matched to the base."""
+        shifted = eigen_fields(model, U + dU, v + dv, xi + dxi, reference=base.r_hat)
+        return np.swapaxes(shifted.r_hat, 1, 2)
 
-        # partial d/dxi of the eigenvectors at fixed (u, v)
-        hi = align_to(base.r_hat, solve_generalized_eigen(model, u, vk, x + hx))
-        lo = align_to(base.r_hat, solve_generalized_eigen(model, u, vk, x - hx))
-        dxi_r = (hi.r_hat.T - lo.r_hat.T) / (2.0 * hx)
-        eta_pi[k] = -(base.l_hat @ (B @ dxi_r))
+    def Br(dU, dv):
+        return model.B(U + dU, v + dv) @ r_cols(dU, dv, 0.0)
 
-        # directional state derivatives of B r_hat_j
-        DBr = np.empty((N, N, N))  # [component, family j, direction m]
-        for m in range(N):
-            e = np.zeros(N)
-            e[m] = hu
-            hi = align_to(base.r_hat, solve_generalized_eigen(model, u + e, vk, x))
-            lo = align_to(base.r_hat, solve_generalized_eigen(model, u - e, vk, x))
-            DBr[:, :, m] = (model.B(u + e, vk) @ hi.r_hat.T
-                            - model.B(u - e, vk) @ lo.r_hat.T) / (2.0 * hu)
-        w = A0_inv[k] @ rcols  # columns A0^{-1} r_hat_k
-        # kappa[i, j, l] = - l_i . (D_u(B r_j) A0^{-1} r_l)
-        kappa[k] = -np.einsum("ia,ajm,ml->ijl", base.l_hat, DBr, w)
+    # partial d/dxi of the eigenvectors at fixed (u, v)
+    dxi_r = (r_cols(0.0, 0.0, XI_STEP) - r_cols(0.0, 0.0, -XI_STEP)) / (2.0 * XI_STEP)
+    eta_pi = -(L @ (model.B(U, v) @ dxi_r))
 
-        # color derivative of B r_hat_j
-        hi = align_to(base.r_hat, solve_generalized_eigen(model, u, vk + hv, x))
-        lo = align_to(base.r_hat, solve_generalized_eigen(model, u, vk - hv, x))
-        dv_Br = (model.B(u, vk + hv) @ hi.r_hat.T
-                 - model.B(u, vk - hv) @ lo.r_hat.T) / (2.0 * hv)
-        sigma[k] = base.l_hat @ dv_Br
+    # directional state derivatives of B r_hat_j, [point, component, family j, direction m]
+    DBr = np.empty((len(xi), N, N, N))
+    for m, e in enumerate(hu * np.eye(N)):
+        DBr[..., m] = (Br(e, 0.0) - Br(-e, 0.0)) / (2.0 * hu)
+    w = A0_inv @ np.swapaxes(base.r_hat, 1, 2)  # columns A0^{-1} r_hat_k
+    # kappa[i, j, l] = - l_i . (D_u(B r_j) A0^{-1} r_l)
+    kappa = -np.einsum("nia,najm,nml->nijl", L, DBr, w)
+
+    # color derivative of B r_hat_j
+    sigma = L @ ((Br(0.0, V_STEP) - Br(0.0, -V_STEP)) / (2.0 * V_STEP))
 
     return CoefficientFields(xi=xi, psi=np.asarray(psi, dtype=float),
-                             mu=mu, lambda_hat=lam, d=dd, r_hat=R, l_hat=L,
-                             eta_pi=eta_pi, kappa=kappa, sigma=sigma,
-                             A0_inv=A0_inv)
+                             mu=base.mu, lambda_hat=base.lambda_hat, d=base.d,
+                             r_hat=base.r_hat, l_hat=L, eta_pi=eta_pi,
+                             kappa=kappa, sigma=sigma, A0_inv=A0_inv)
 
 
 def build_measures(model: SystemCouplingModel, coeffs: CoefficientFields,
@@ -378,7 +352,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     scale = max(jump, 1.0)
 
     for outer in range(1, config.outer_max_iters + 1):
-        coeffs = assemble_coefficients(model, U, v, xi, psi, config)
+        coeffs = assemble_coefficients(model, U, v, xi, psi)
         measures = build_measures(model, coeffs, config.eps)
         if A is None:
             Ct, _ = strength_matrix(measures, coeffs, weight_A0_inv=True)

@@ -56,8 +56,11 @@ def test_ladder_must_decrease():
 
 
 def test_negative_eps_rejected():
-    with pytest.raises(ConfigError, match="positive"):
-        parse_config(["solve-scalar", "--eps", "-0.1"])
+    for args in (["solve-scalar", "--eps", "-0.1"], ["solve-scalar", "--eps", "nan"],
+                 ["solve-scalar", "--eps", "inf"], ["solve-scalar", "--M", "nan"],
+                 ["continuation", "--eps-ladder", "0.1,nan"]):
+        with pytest.raises(ConfigError, match="positive finite"):
+            parse_config(args)
 
 
 def test_vector_data_parsing():
@@ -79,10 +82,12 @@ def test_config_error_exits_1(tmp_path, capsys):
 
 def test_solver_failure_exits_1_with_incomplete_manifest(tmp_path, capsys):
     # data outside the model domain is a solver-level failure
-    code, out = _run(tmp_path, "solve-scalar", "--eps", "0.1",
-                     "--uL", "9.0", "--uR", "0.0")
-    assert code == 1
-    assert _manifest(out)["complete"] is False
+    for cmd, eps in (("solve-scalar", ["--eps", "0.1"]),
+                     ("continuation", ["--eps-ladder", "0.1,0.05"])):
+        code, out = _run(tmp_path / cmd, cmd, *eps, "--uL", "9.0", "--uR", "0.0")
+        assert code == 1
+        assert _manifest(out)["complete"] is False
+        assert "error:" in (err := capsys.readouterr().err) and "ValueError" in err
 
 
 def test_strict_mode_passes_on_good_run(tmp_path):

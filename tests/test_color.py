@@ -75,8 +75,9 @@ def test_invert_v_roundtrip(target):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        ColorProfile(eps=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ColorProfile(eps=bad)
     with pytest.raises(ValueError):
         ColorProfile(eps=0.1, p=0.0)
     prof = ColorProfile(eps=0.1)

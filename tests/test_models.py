@@ -150,3 +150,16 @@ def test_model_from_config_preset_and_unknown_kind(p_system):
     assert model.delta0 == pytest.approx(p_system.delta0)
     with pytest.raises(KeyError):
         model_from_config({"kind": "mystery"})
+
+
+def test_stacked_callables_match_pointwise(p_system, burgers):
+    rng = np.random.default_rng(5)
+    for model in (p_system, system_from_scalar(burgers, u_center=0.5, delta0=0.4)):
+        U = model.ball_samples(12)
+        v = rng.uniform(-1.0, 1.0, 12)
+        for name in ("A0", "A1", "B0", "A", "B"):
+            fn = getattr(model, name)
+            stacked = fn(U, v)
+            assert stacked.shape == (12, model.N, model.N)
+            for k in range(12):
+                np.testing.assert_array_equal(stacked[k], fn(U[k], v[k]))

@@ -19,8 +19,11 @@ def _solve(model, uL, uR, eps=0.05, **kw):
 
 
 def test_config_validation():
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ScalarSolveConfig(eps=bad)
     with pytest.raises(ValueError):
-        ScalarSolveConfig(eps=-1.0)
+        ScalarSolveConfig(eps=0.1, M=np.nan)
     with pytest.raises(ValueError):
         ScalarSolveConfig(eps=0.1, relaxation=0.0)
     with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import pytest
 
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
-from selfsim.spectral import (align_to, check_xi_derivatives,
-                              eig_decomposition, estimate_eta_nu,
-                              solve_generalized_eigen, spectral_sweep)
+from selfsim.spectral import (check_xi_derivatives, eig_decomposition,
+                              eigen_fields, estimate_eta_nu,
+                              solve_generalized_eigen)
 
 
 def test_eig_decomposition_biorthogonal():
@@ -55,27 +55,49 @@ def test_eigen_sample_identity_over_ball(p_system):
     assert worst_res <= 1e-9
 
 
-def test_align_to_flips_signs(p_system):
+def test_reference_flips_signs(p_system):
     u = np.array([1.2, 0.0])
-    data = solve_generalized_eigen(p_system, u, 0.0, 0.1)
-    flipped = align_to(-data.r_hat, data)
+    data = eigen_fields(p_system, u, 0.0, 0.1)
+    flipped = eigen_fields(p_system, u, 0.0, 0.1, reference=-data.r_hat)
     np.testing.assert_allclose(flipped.r_hat, -data.r_hat)
     np.testing.assert_allclose(flipped.l_hat, -data.l_hat)
-    same = align_to(data.r_hat, data)
-    assert same is data
+    same = eigen_fields(p_system, u, 0.0, 0.1, reference=data.r_hat)
+    np.testing.assert_array_equal(same.r_hat, data.r_hat)
+    np.testing.assert_array_equal(same.l_hat, data.l_hat)
 
 
 def test_sweep_is_sign_continuous(p_system):
     xi = uniform_grid(p_system.M, 801)
     v = ColorProfile(0.05, 1.0, p_system.M).evaluate_v(xi)
     U = np.tile(p_system.u_ref, (len(xi), 1))
-    sweep = spectral_sweep(p_system, U, v, xi)
-    # eigenvectors vary continuously: no sign jumps along the grid
-    dots = np.einsum("nij,nij->ni", sweep["r_hat"][1:], sweep["r_hat"][:-1])
-    assert dots.min() > 0.9
-    # with B = I the exact identity mu = -xi + lambda_hat holds pointwise
-    np.testing.assert_allclose(sweep["mu"], -xi[:, None] + sweep["lambda_hat"],
-                               atol=1e-12)
+    # second path: along tau in [0.8, 1.4] the sound speed crosses 1, so the
+    # largest component of r_hat_2 = (1, -c) / |.| changes and its per-point
+    # sign flips; the continuation along the points must undo that flip
+    U_path = np.column_stack([np.linspace(0.8, 1.4, len(xi)), np.zeros(len(xi))])
+    for U, v in ((U, v), (U_path, np.zeros(len(xi)))):
+        sweep = eigen_fields(p_system, U, v, xi)
+        # eigenvectors vary continuously: no sign jumps along the grid
+        dots = np.einsum("nij,nij->ni", sweep.r_hat[1:], sweep.r_hat[:-1])
+        assert dots.min() > 0.9
+        # with B = I the exact identity mu = -xi + lambda_hat holds pointwise
+        np.testing.assert_allclose(sweep.mu, -xi[:, None] + sweep.lambda_hat,
+                                   atol=1e-12)
+
+
+def test_kernel_matches_eig_decomposition_for_identity_viscosity(p_system):
+    # B = I: the pencil eigenvalues are those of A shifted by -xi, and the
+    # eigenvectors are A's, up to sign
+    rng = np.random.default_rng(3)
+    U = p_system.ball_samples(50)
+    v = rng.uniform(-1.0, 1.0, 50)
+    xi = rng.uniform(-p_system.M, p_system.M, 50)
+    data = eigen_fields(p_system, U, v, xi)
+    for k in range(50):
+        w, R, _ = eig_decomposition(p_system.A(U[k], v[k]))
+        np.testing.assert_allclose(data.mu[k], w - xi[k], atol=1e-12)
+        np.testing.assert_allclose(data.mu[k], data.lambda_hat[k] - xi[k], atol=1e-12)
+        dots = np.abs(np.einsum("ij,ij->i", data.r_hat[k], R))
+        np.testing.assert_allclose(dots, 1.0, atol=1e-12)
 
 
 def test_estimate_eta_nu_identity_viscosity(p_system):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from selfsim.models import system_from_scalar
+from selfsim.models import build_scalar_model, system_from_scalar
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.system import (SmallnessViolation, SystemSolveConfig,
                             admissible_jump_radius, assemble_coefficients,
@@ -22,8 +22,9 @@ def p_state(p_system):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SystemSolveConfig(eps=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SystemSolveConfig(eps=bad)
     with pytest.raises(ValueError):
         SystemSolveConfig(eps=0.1, relaxation=1.5)
 
@@ -93,13 +94,11 @@ def test_coefficient_fields_shapes_and_eta_pi(p_system):
     prof = ColorProfile(EPS, 1.0, p_system.M)
     v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
     U = np.tile(p_system.u_ref, (n, 1))
-    coeffs = assemble_coefficients(p_system, U, v, xi, psi,
-                                   SystemSolveConfig(eps=EPS))
+    coeffs = assemble_coefficients(p_system, U, v, xi, psi)
     assert coeffs.kappa.shape == (n, 2, 2, 2)
     # B = I: B d_xi r_hat = d_xi r_hat, and r_hat is xi-independent at fixed
     # (u, v), so the eta*pi product vanishes identically
     assert np.abs(coeffs.eta_pi).max() < 1e-8
-    assert coeffs.pi(0.0) is None
     # sigma is nonzero: eigenvectors rotate with the color
     assert np.abs(coeffs.sigma).max() > 1e-4
 
@@ -111,8 +110,7 @@ def test_zero_correction_is_fixed_point_at_zero_strength(p_system):
     prof = ColorProfile(EPS, 1.0, p_system.M)
     v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
     U = np.tile(p_system.u_ref, (n, 1))
-    cfg = SystemSolveConfig(eps=EPS)
-    coeffs = assemble_coefficients(p_system, U, v, xi, psi, cfg)
+    coeffs = assemble_coefficients(p_system, U, v, xi, psi)
     measures = build_measures(p_system, coeffs, EPS)
     tau = np.zeros(2)
     theta = np.zeros((n, 2))
@@ -134,14 +132,27 @@ def test_tv_and_slope_estimates_recorded(p_state):
 
 
 def test_n1_system_matches_scalar_solver(burgers):
-    sys_model = system_from_scalar(burgers, u_center=0.5, delta0=0.4)
-    eps = 0.1
-    uL, uR = 0.52, 0.48
-    scal = solve_scalar(burgers, ScalarSolveConfig(eps=eps, M=sys_model.M),
-                        uL, uR)
-    syst = solve_system(sys_model, SystemSolveConfig(eps=eps),
-                        np.array([uL]), np.array([uR]))
+    # gamma = u + 0.2 u^3 with B0 = 1 + 0.3 u^2 has A0 != I and B != I, so
+    # the eta_pi, kappa and A0^{-1} terms enter the system solve (eta > 0)
+    def gamma(u):
+        return u + 0.2 * np.asarray(u, dtype=float) ** 3
+
+    def flux(w):
+        return np.asarray(w, dtype=float) ** 2 / 2.0
+
+    cubic = build_scalar_model(
+        gamma, gamma, flux, flux, name="cubic-gamma-viscous",
+        B0=lambda u, v: 1.0 + 0.3 * np.asarray(u, dtype=float) ** 2 + 0.0 * np.asarray(v))
     from selfsim.diagnostics import l1_distance
     from selfsim.grid import GridFunction
-    d = l1_distance(scal.u, GridFunction(syst.u.xi, syst.u.values[:, 0]))
-    assert d <= 10.0 * (1e-10 + syst.boundary_residual + 1e-8)
+    eps = 0.1
+    uL, uR = 0.52, 0.48
+    for scalar_model in (burgers, cubic):
+        sys_model = system_from_scalar(scalar_model, u_center=0.5, delta0=0.4)
+        assert (sys_model.eta > 0) == (scalar_model is cubic)
+        scal = solve_scalar(scalar_model, ScalarSolveConfig(eps=eps, M=sys_model.M),
+                            uL, uR)
+        syst = solve_system(sys_model, SystemSolveConfig(eps=eps),
+                            np.array([uL]), np.array([uR]))
+        d = l1_distance(scal.u, GridFunction(syst.u.xi, syst.u.values[:, 0]))
+        assert d <= 10.0 * (1e-10 + syst.boundary_residual + 1e-8)
