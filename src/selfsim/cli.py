@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -101,6 +102,7 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfsim",
@@ -189,12 +191,19 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Values as ``%.17g`` (round-trips every double), one ``%`` per block
+    of rows so that memory stays flat on large grids."""
     rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -333,6 +342,16 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     return ["sweep.csv", "diagnostics.json"], True
 
 
+def _psi_factory(cfg: RunConfig, M: float):
+    """psi(xi) of the color profile on the grid the measure factories use."""
+    def psi_factory(eps):
+        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
+        xi = uniform_grid(M, n)
+        return ColorProfile(eps, cfg.p, M).evaluate_psi(xi)
+
+    return psi_factory
+
+
 def _fixture_factories(cfg: RunConfig):
     M = cfg.M if cfg.M is not None else 2.0
     lams = cfg.model_options.get("speeds", [-1.2, 0.4])
@@ -344,12 +363,7 @@ def _fixture_factories(cfg: RunConfig):
         mu, lo, hi = constant_speed_fields(xi, lams, band_halfwidth=halfwidth)
         return build_phi_star(xi, mu, eps, lo, hi)
 
-    def psi_factory(eps):
-        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
-        xi = uniform_grid(M, n)
-        return ColorProfile(eps, cfg.p, M).evaluate_psi(xi)
-
-    return measure_factory, psi_factory
+    return measure_factory, _psi_factory(cfg, M)
 
 
 def _model_factories(cfg: RunConfig, model: SystemCouplingModel):
@@ -363,12 +377,7 @@ def _model_factories(cfg: RunConfig, model: SystemCouplingModel):
         mu = eigen_fields(model, U, v, xi).mu
         return build_phi_star(xi, mu, eps, model.lam_low, model.lam_high)
 
-    def psi_factory(eps):
-        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
-        xi = uniform_grid(M, n)
-        return ColorProfile(eps, cfg.p, M).evaluate_psi(xi)
-
-    return measure_factory, psi_factory
+    return measure_factory, _psi_factory(cfg, M)
 
 
 def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
@@ -397,6 +406,19 @@ def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     return ["lemma_report.json", "lemma_constants.csv"], bool(report["passed"])
 
 
+def _run_ladder(cfg: RunConfig, model: ScalarCouplingModel,
+                ladder: list[float]) -> tuple[dict, list]:
+    """Warm-started solves along the ladder; the continuation report and
+    its solutions, or a RuntimeError naming the first failed rung."""
+    base = _scalar_config(cfg, model, ladder[0])
+    report = epsilon_continuation(model, base, float(cfg.uL), float(cfg.uR), ladder)
+    solutions = report.pop("solutions")
+    if report["failures"]:
+        first = report["failures"][0]
+        raise RuntimeError(f"rung eps={first['eps']:g}: {first['error']}")
+    return report, solutions
+
+
 def _cmd_continuation(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     model = _build_model(cfg)
     if not isinstance(model, ScalarCouplingModel):
@@ -404,12 +426,7 @@ def _cmd_continuation(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError("continuation requires --uL and --uR")
     ladder = _eps_list(cfg, need_ladder=True)
-    base = _scalar_config(cfg, model, ladder[0])
-    report = epsilon_continuation(model, base, float(cfg.uL), float(cfg.uR), ladder)
-    solutions = report.pop("solutions")
-    if report["failures"]:
-        first = report["failures"][0]
-        raise RuntimeError(f"rung eps={first['eps']:g}: {first['error']}")
+    report, solutions = _run_ladder(cfg, model, ladder)
 
     outputs = []
     for sol in solutions:
@@ -437,14 +454,7 @@ def _cmd_trace_report(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         raise ConfigError("trace-report requires a scalar model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError("trace-report requires --uL and --uR")
-    ladder = _eps_list(cfg, need_ladder=True)
-    sols = []
-    prev = None
-    for eps in ladder:
-        sol = solve_scalar(model, _scalar_config(cfg, model, eps),
-                           float(cfg.uL), float(cfg.uR), initial=prev)
-        prev = sol.u
-        sols.append(sol)
+    _, sols = _run_ladder(cfg, model, _eps_list(cfg, need_ladder=True))
     report = interface_trace_report(sols, model)
     write_json(out / "trace_report.json", report)
     ok = bool(report["weak_condition_minus"] and report["weak_condition_plus"])

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,11 @@ class GridFunction:
         return np.trapezoid(self.values, self.xi, axis=0)
 
     def cumtrapz(self) -> "GridFunction":
-        cum = cumulative_trapezoid(self.values, self.xi, axis=0, initial=0.0)
-        return GridFunction(self.xi, cum)
+        """Running trapezoid integral from xi[0], zero at the first point."""
+        y = self.values
+        d = np.diff(self.xi).reshape((-1,) + (1,) * (y.ndim - 1))
+        cum = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+        return GridFunction(self.xi, np.concatenate([np.zeros_like(y[:1]), cum]))
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))

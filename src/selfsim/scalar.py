@@ -48,12 +48,15 @@ class ScalarSolveConfig:
     relaxation: float = 0.5
 
     def __post_init__(self):
-        if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p, self.M)):
-            raise ValueError("eps, p, M must be positive finite numbers")
+        if not all(np.isfinite(x) and x > 0
+                   for x in (self.eps, self.p, self.M, self.fix_tol)):
+            raise ValueError("eps, p, M, fix_tol must be positive finite numbers")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.grid_size is not None and self.grid_size < 64:
             raise ValueError("grid_size must be >= 64")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
     def resolved_grid_size(self) -> int:
         if self.grid_size is not None:

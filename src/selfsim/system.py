@@ -71,10 +71,18 @@ class SystemSolveConfig:
     envelope_constant: float | None = None  # fitted from a probe when None
 
     def __post_init__(self):
-        if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p)):
-            raise ValueError("eps and p must be positive finite numbers")
+        positive = [self.eps, self.p, self.fix_tol, self.strength_tol, self.outer_tol]
+        if self.M is not None:
+            positive.append(self.M)
+        if not all(np.isfinite(x) and x > 0 for x in positive):
+            raise ValueError("eps, p, M, fix_tol, strength_tol, outer_tol must be "
+                             "positive finite numbers")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
+        if self.grid_size is not None and self.grid_size < 64:
+            raise ValueError("grid_size must be >= 64")
+        if min(self.max_iters, self.strength_max_iters, self.outer_max_iters) < 1:
+            raise ValueError("max_iters, strength_max_iters, outer_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)

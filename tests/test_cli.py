@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfsim.cli import ConfigError, main, parse_config
+from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, write_csv
 
 
 def _run(tmp_path, *args):
@@ -83,11 +83,14 @@ def test_config_error_exits_1(tmp_path, capsys):
 def test_solver_failure_exits_1_with_incomplete_manifest(tmp_path, capsys):
     # data outside the model domain is a solver-level failure
     for cmd, eps in (("solve-scalar", ["--eps", "0.1"]),
-                     ("continuation", ["--eps-ladder", "0.1,0.05"])):
+                     ("continuation", ["--eps-ladder", "0.1,0.05"]),
+                     ("trace-report", ["--eps-ladder", "0.1,0.05"])):
         code, out = _run(tmp_path / cmd, cmd, *eps, "--uL", "9.0", "--uR", "0.0")
         assert code == 1
         assert _manifest(out)["complete"] is False
         assert "error:" in (err := capsys.readouterr().err) and "ValueError" in err
+        if cmd != "solve-scalar":
+            assert "RuntimeError: rung eps=0.1: ValueError" in err
 
 
 def test_strict_mode_passes_on_good_run(tmp_path):
@@ -171,6 +174,27 @@ def test_trace_report_artifacts(tmp_path):
     assert code == 0
     report = json.loads((out / "trace_report.json").read_text())
     assert "trace_minus" in report and "trace_plus" in report
+
+
+def _old_csv(header, columns):
+    """The per-element ``f"{x:.17g}"`` formatting write_csv must reproduce."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in np.column_stack(columns)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * CSV_BLOCK_ROWS + 3])
+@pytest.mark.parametrize("n_cols", [1, 4])
+def test_write_csv_matches_per_element_formatting(tmp_path, n_rows, n_cols):
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1]
+    vals = np.random.default_rng(n_rows + n_cols).standard_normal(n_rows * n_cols)
+    vals *= 10.0 ** np.random.default_rng(1).integers(-300, 300, vals.size)
+    vals[:len(special)] = special[:vals.size]
+    columns = list(vals.reshape(n_rows, n_cols).T)
+    header = [f"c{i}" for i in range(n_cols)]
+    path = tmp_path / "out.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _old_csv(header, columns)
 
 
 # ---------------------------------------------------------------------------

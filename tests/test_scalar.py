@@ -28,6 +28,11 @@ def test_config_validation():
         ScalarSolveConfig(eps=0.1, relaxation=0.0)
     with pytest.raises(ValueError):
         ScalarSolveConfig(eps=0.1, grid_size=10)
+    for bad in (np.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="positive finite"):
+            ScalarSolveConfig(eps=0.1, fix_tol=bad)
+    with pytest.raises(ValueError, match="max_iters"):
+        ScalarSolveConfig(eps=0.1, max_iters=0)
     assert ScalarSolveConfig(eps=0.05, M=2.0).resolved_grid_size() == 1600
 
 
