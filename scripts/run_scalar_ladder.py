@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Solve a scalar Riemann problem along an eps ladder and print the
-convergence table (TV, iterations, L1 distance to the exact solution)."""
+convergence table (TV, iterations, L1 distance to the exact solution).
+
+The ladder runs through ``epsilon_continuation`` on ``[-M, M]`` with
+``M = Lambda + 1``, as the ``continuation`` CLI does."""
 
 import argparse
 
-import numpy as np
-
-from selfsim.diagnostics import exact_scalar_riemann, l1_distance
+from selfsim.diagnostics import epsilon_continuation, exact_scalar_riemann, l1_distance
 from selfsim.grid import GridFunction
 from selfsim.models import preset_model
-from selfsim.scalar import ScalarSolveConfig, solve_scalar
+from selfsim.scalar import ScalarSolveConfig
 
 
 def main():
@@ -25,17 +26,18 @@ def main():
     # oracle for the identical-halves case (the two flux functions agree)
     oracle = exact_scalar_riemann(
         lambda w: model.f_plus(model.gamma_plus(w)), args.uL, args.uR)
+    config = ScalarSolveConfig(eps=ladder[0], M=model.Lambda + 1.0)
+    report = epsilon_continuation(model, config, args.uL, args.uR, ladder)
 
     print(f"{'eps':>8} {'iters':>6} {'TV':>10} {'L1 vs exact':>12}")
-    prev = None
-    for eps in ladder:
-        sol = solve_scalar(model, ScalarSolveConfig(eps=eps),
-                           args.uL, args.uR, initial=prev)
-        prev = sol.u
+    for sol in report["solutions"]:
         exact = GridFunction(sol.u.xi, oracle(sol.u.xi))
         d = l1_distance(sol.u, exact)
-        print(f"{eps:8.4f} {sol.iterations:6d} {sol.tv_u:10.6f} {d:12.3e}")
+        print(f"{sol.eps:8.4f} {sol.iterations:6d} {sol.tv_u:10.6f} {d:12.3e}")
+    for failure in report["failures"]:
+        print(f"{failure['eps']:8.4f} failed: {failure['error']}")
+    return 1 if report["failures"] else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .color import ColorProfile
-from .diagnostics import epsilon_continuation, interface_trace_report
+from .diagnostics import (check_trace_windows, epsilon_continuation,
+                          interface_trace_report)
 from .grid import default_grid_size, uniform_grid
 from .measures import build_phi_star, constant_speed_fields, verify_bounds
 from .models import (ModelConstructionError, ScalarCouplingModel,
@@ -454,7 +455,9 @@ def _cmd_trace_report(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         raise ConfigError("trace-report requires a scalar model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError("trace-report requires --uL and --uR")
-    _, sols = _run_ladder(cfg, model, _eps_list(cfg, need_ladder=True))
+    ladder = _eps_list(cfg, need_ladder=True)
+    check_trace_windows(_scalar_config(cfg, model, ladder[0]), ladder)
+    _, sols = _run_ladder(cfg, model, ladder)
     report = interface_trace_report(sols, model)
     write_json(out / "trace_report.json", report)
     ok = bool(report["weak_condition_minus"] and report["weak_condition_plus"])

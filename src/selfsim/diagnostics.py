@@ -15,12 +15,12 @@ differentiation of the solution enters the residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, uniform_grid
 from .models import ScalarCouplingModel
 from .scalar import ScalarSolveConfig, ScalarSolution, solve_scalar
 
@@ -264,7 +264,6 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
     solutions: list[ScalarSolution] = []
     failures = []
     previous = None
-    from dataclasses import replace
     for eps in eps_ladder:
         cfg = replace(config, eps=eps)
         try:
@@ -311,17 +310,42 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
     }
 
 
-def _one_sided_trace(sol: ScalarSolution, side: str) -> float:
-    """Linear fit of u over xi in +-[5, 10] eps^(p/2), extrapolated to 0."""
-    scale = sol.eps ** (sol.p / 2.0)
+class TraceWindowError(ValueError):
+    """A one-sided trace window holds fewer than two grid points."""
+
+
+def _trace_window(xi: np.ndarray, eps: float, p: float, side: str) -> np.ndarray:
+    """Mask of the fit window +-[5, 10] eps^(p/2) on the grid ``xi``."""
+    scale = eps ** (p / 2.0)
     lo, hi = 5.0 * scale, 10.0 * scale
-    xi = sol.u.xi
     if side == "minus":
         mask = (xi >= -hi) & (xi <= -lo)
     else:
         mask = (xi >= lo) & (xi <= hi)
     if mask.sum() < 2:
-        raise ValueError("trace window unresolved; refine grid or shrink eps")
+        raise TraceWindowError(
+            f"eps={eps:g}: trace window {'-' if side == 'minus' else '+'}"
+            f"[{lo:.4g}, {hi:.4g}] holds fewer than 2 grid points of "
+            f"[-M, M], M={float(xi[-1]):g}; shrink eps or enlarge M")
+    return mask
+
+
+def check_trace_windows(config: ScalarSolveConfig, eps_ladder: Sequence[float]) -> None:
+    """Raise TraceWindowError before any solve if a rung's window holds
+    fewer than two points of its grid.  The window is not moved inside
+    [-M, M] to make it fit: a fit out at M would return the boundary state
+    as the trace."""
+    for eps in eps_ladder:
+        cfg = replace(config, eps=float(eps))
+        xi = uniform_grid(cfg.M, cfg.resolved_grid_size())
+        for side in ("minus", "plus"):
+            _trace_window(xi, cfg.eps, cfg.p, side)
+
+
+def _one_sided_trace(sol: ScalarSolution, side: str) -> float:
+    """Linear fit of u over xi in +-[5, 10] eps^(p/2), extrapolated to 0."""
+    xi = sol.u.xi
+    mask = _trace_window(xi, sol.eps, sol.p, side)
     coeff = np.polyfit(xi[mask], sol.u.values[mask], 1)
     return float(np.polyval(coeff, 0.0))
 

@@ -13,6 +13,18 @@ fixed-point iteration of the explicit representation
 where h is the antiderivative of (zeta - lambda(u, v)) G(u, v) shifted to be
 nonnegative.  Every iterate of T is monotone with TV <= |u_R - u_L|, which is
 the discrete counterpart of the uniform total-variation bound.
+
+The fixed point u = T(u) is found by type-II Anderson mixing of T (Walker &
+Ni, SIAM J. Numer. Anal. 49, 2011) with depth ``ANDERSON_DEPTH`` and mixing
+weight ``ScalarSolveConfig.relaxation``.  Plain damped Picard stalls or
+cycles on resonant rarefactions, whose sonic point sits at the interface
+speed 0.  Each extrapolated iterate is clipped to [min(u_L, u_R),
+max(u_L, u_R)] with its ends re-pinned; one that is not finite, not
+monotone or outside the model's domain is replaced by the plain mixed step.
+That, or ANDERSON_DEPTH iterations without a new smallest residual,
+restarts the history.  The solver returns T(u) of the last iterate, so the
+returned profile is monotone with TV <= |u_R - u_L| whatever the
+extrapolation did.
 """
 
 from __future__ import annotations
@@ -24,17 +36,28 @@ import numpy as np
 from .color import ColorProfile
 from .grid import GridFunction, default_grid_size, uniform_grid
 from .models import ScalarCouplingModel
-from .quadrature import log_cumtrapz_from, log_trapz
+
+ANDERSON_DEPTH = 5
 
 
 class QuadratureFailure(RuntimeError):
-    """The normalizing integral underflowed even in log space."""
+    """The weight of the representation map is not finite."""
 
 
 class NonConvergence(RuntimeError):
-    def __init__(self, residuals):
-        super().__init__(f"fixed point not reached; last residual {residuals[-1]:.3e}")
-        self.residuals = residuals
+    """The fixed point was not reached within ``max_iters``; carries the
+    residual history and the problem that was being solved."""
+
+    def __init__(self, residuals, eps: float, n: int,
+                 u_left: float, u_right: float):
+        self.residuals = list(residuals)
+        self.iterations = len(self.residuals)
+        self.eps, self.n = eps, n
+        self.u_left, self.u_right = u_left, u_right
+        super().__init__(
+            f"fixed point not reached after {self.iterations} iterations "
+            f"(eps={eps:g}, n={n}, u_left={u_left:g}, u_right={u_right:g}); "
+            f"last residual {self.residuals[-1]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +68,7 @@ class ScalarSolveConfig:
     grid_size: int | None = None
     fix_tol: float = 1e-10
     max_iters: int = 2500
-    relaxation: float = 0.5
+    relaxation: float = 0.5  # mixing weight of the Anderson step
 
     def __post_init__(self):
         if not all(np.isfinite(x) and x > 0
@@ -77,6 +100,7 @@ class ScalarSolution:
     p: float
     u_left: float
     u_right: float
+    residuals: tuple = ()  # max|T(u) - u| / |jump| of every iteration
 
 
 def exponent_h(model: ScalarCouplingModel, u_tilde: GridFunction,
@@ -96,7 +120,11 @@ def exponent_h(model: ScalarCouplingModel, u_tilde: GridFunction,
 def picard_step(model: ScalarCouplingModel, config: ScalarSolveConfig,
                 u_tilde: GridFunction, v: GridFunction) -> GridFunction:
     """One application of the representation map T; always monotone from
-    u_L = u_tilde(-M) to u_R = u_tilde(M)."""
+    u_L = u_tilde(-M) to u_R = u_tilde(M).
+
+    The weight exp(log_w) is shifted by its peak and integrated in one
+    linear pass: weights below e^-745 of the peak underflow to 0 and move
+    the ratio by less than 1e-300."""
     xi = u_tilde.xi
     u_left = float(u_tilde.values[0])
     u_right = float(u_tilde.values[-1])
@@ -105,15 +133,13 @@ def picard_step(model: ScalarCouplingModel, config: ScalarSolveConfig,
 
     h = exponent_h(model, u_tilde, v)
     log_w = -h.values / config.eps - np.log(model.B0(u_tilde.values, v.values))
-    log_total = log_trapz(log_w, xi)
-    if not np.isfinite(log_total):
-        raise QuadratureFailure("normalizing weight integral underflowed; refine the grid")
-    log_cum, _ = log_cumtrapz_from(log_w, xi, anchor=0)
-    ratio = np.exp(np.minimum(log_cum - log_total, 0.0))
-    ratio[0] = 0.0
-    ratio[-1] = 1.0
-    ratio = np.maximum.accumulate(np.clip(ratio, 0.0, 1.0))
-    return GridFunction(xi, u_left + (u_right - u_left) * ratio)
+    peak = float(np.max(log_w))
+    if not np.isfinite(peak):
+        raise QuadratureFailure("weight exp(-h/eps)/B0 is not finite")
+    cum = GridFunction(xi, np.exp(log_w - peak)).cumtrapz().values
+    # a running sum of nonnegative terms over its positive last entry:
+    # nondecreasing from exactly 0 to exactly 1
+    return GridFunction(xi, u_left + (u_right - u_left) * (cum / cum[-1]))
 
 
 def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
@@ -137,26 +163,59 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
         # monotone initial guess riding the color layer
         u = GridFunction(xi, u_left + (u_right - u_left) * (v.values + 1.0) / 2.0)
 
+    # type-II Anderson mixing of T: the last ANDERSON_DEPTH differences of
+    # iterates (dU) and of residuals f = T(u) - u (dF), in rows 0..stored-1
+    lo, hi = min(u_left, u_right), max(u_left, u_right)
+    beta = config.relaxation
+    dU = np.empty((ANDERSON_DEPTH, n))
+    dF = np.empty((ANDERSON_DEPTH, n))
+    pushed = 0
+    u_prev = f_prev = None
+    best, best_it = np.inf, 0
     residuals: list[float] = []
-    omega = config.relaxation
     for it in range(1, config.max_iters + 1):
         u_new = picard_step(model, config, u, v)
-        res = float(np.max(np.abs(u_new.values - u.values))) / scale
-        # adaptive damping: back off when the iteration overshoots or
-        # stagnates (a residual plateau signals a damped cycle), creep back
-        # toward the configured relaxation once it settles
-        if residuals:
-            if res >= 0.999 * residuals[-1]:
-                omega = max(0.005, 0.5 * omega)
-            elif res < 0.5 * residuals[-1]:
-                omega = min(config.relaxation, 1.2 * omega)
+        f = u_new.values - u.values
+        res = float(np.max(np.abs(f))) / scale
         residuals.append(res)
-        u = GridFunction(xi, (1.0 - omega) * u.values + omega * u_new.values)
         if res <= config.fix_tol:
             u = u_new
             break
+        if res < best:
+            best, best_it = res, it
+        elif it - best_it >= ANDERSON_DEPTH:
+            # no new minimum for ANDERSON_DEPTH iterations: the history
+            # describes iterates the solve has left, so restart it
+            best_it = it
+            pushed = 0
+            f_prev = None
+        if f_prev is not None:
+            slot = pushed % ANDERSON_DEPTH
+            np.subtract(u.values, u_prev, out=dU[slot])
+            np.subtract(f, f_prev, out=dF[slot])
+            pushed += 1
+        u_prev, f_prev = u.values, f
+
+        # the plain mixed step, a convex combination of u and T(u)
+        cand = u.values + beta * f
+        stored = min(pushed, ANDERSON_DEPTH)
+        if stored:
+            gamma = np.linalg.lstsq(dF[:stored].T, f, rcond=None)[0]
+            extrap = cand - gamma @ (dU[:stored] + beta * dF[:stored])
+            finite = bool(np.all(np.isfinite(extrap)))
+            extrap = np.clip(extrap, lo, hi)
+            extrap[0], extrap[-1] = u_left, u_right
+            # T maps onto monotone profiles; far from the fixed point (a
+            # shock that must travel from the color layer) extrapolations
+            # that leave that class stall the iteration
+            monotone = np.sum(np.abs(np.diff(extrap))) <= (hi - lo) * (1.0 + 1e-9)
+            if finite and monotone and model.contains(extrap):
+                cand = extrap
+            else:
+                pushed = 0  # keep the mixed step and restart the history
+        u = GridFunction(xi, cand)
     else:
-        raise NonConvergence(residuals)
+        raise NonConvergence(residuals, config.eps, n, float(u_left), float(u_right))
 
     h = exponent_h(model, u, v)
     return ScalarSolution(
@@ -165,6 +224,7 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
         tv_u=u.tv(), monotone=u.is_monotone(),
         eps=config.eps, p=config.p,
         u_left=float(u_left), u_right=float(u_right),
+        residuals=tuple(residuals),
     )
 
 

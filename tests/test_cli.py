@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, write_csv
+from selfsim.diagnostics import TraceWindowError
 
 
 def _run(tmp_path, *args):
@@ -174,6 +175,20 @@ def test_trace_report_artifacts(tmp_path):
     assert code == 0
     report = json.loads((out / "trace_report.json").read_text())
     assert "trace_minus" in report and "trace_plus" in report
+
+
+def test_trace_report_window_past_M_is_a_typed_error(tmp_path, capsys):
+    # M = Lambda + 1 = 1.5 on this preset; at eps = 0.1 the fit window
+    # +-[5, 10] eps^(1/2) = [1.58, 3.16] holds no grid point
+    code, out = _run(tmp_path, "trace-report", "--model", "linear-advection-pair",
+                     "--uL", "1.0", "--uR", "0.0", "--eps-ladder", "0.1,0.05,0.025")
+    assert code == 1
+    assert _manifest(out)["complete"] is False
+    err = capsys.readouterr().err
+    assert "error: TraceWindowError: eps=0.1: trace window" in err
+    assert "[1.581, 3.162]" in err and "M=1.5" in err
+    assert "rung" not in err  # rejected before any rung was solved
+    assert issubclass(TraceWindowError, ValueError)
 
 
 def _old_csv(header, columns):

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim.color import ColorProfile
+from selfsim.diagnostics import exact_scalar_riemann, l1_distance
 from selfsim.grid import GridFunction, uniform_grid
 from selfsim.models import build_scalar_model
-from selfsim.scalar import (NonConvergence, ScalarSolveConfig, exponent_h,
-                            picard_step, solve_scalar, trace_window_check)
+from selfsim.quadrature import log_cumtrapz_from, log_trapz
+from selfsim.scalar import (NonConvergence, QuadratureFailure, ScalarSolveConfig,
+                            exponent_h, picard_step, solve_scalar,
+                            trace_window_check)
 
 
 def _solve(model, uL, uR, eps=0.05, **kw):
@@ -80,6 +83,35 @@ def test_picard_step_always_monotone(burgers):
     assert out.tv() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.00625])
+def test_picard_step_matches_log_space_weight(burgers, eps):
+    """The one-pass weight against the log-space quadrature reference; the
+    summation order differs, so equality holds to rounding."""
+    cfg = ScalarSolveConfig(eps=eps, M=2.5)
+    n = cfg.resolved_grid_size()
+    xi = uniform_grid(cfg.M, n)
+    v = GridFunction(xi, ColorProfile(cfg.eps, cfg.p, cfg.M).evaluate_v(xi))
+    u = GridFunction(xi, -0.8131 + 1.2093 * (v.values + 1.0) / 2.0)
+    h = exponent_h(burgers, u, v)
+    log_w = -h.values / eps - np.log(burgers.B0(u.values, v.values))
+    log_cum, _ = log_cumtrapz_from(log_w, xi, anchor=0)
+    ratio = np.exp(np.minimum(log_cum - log_trapz(log_w, xi), 0.0))
+    ratio[0] = 0.0
+    out = picard_step(burgers, cfg, u, v)
+    np.testing.assert_allclose(out.values, -0.8131 + 1.2093 * ratio, rtol=0, atol=1e-13)
+    assert out.values[0] == -0.8131 and out.is_monotone()
+
+
+def test_picard_step_rejects_non_finite_weight(burgers):
+    broken = dataclasses.replace(burgers, B0=lambda u, v: np.zeros_like(u + v))
+    cfg = ScalarSolveConfig(eps=0.05, grid_size=512)
+    xi = uniform_grid(cfg.M, 512)
+    v = GridFunction(xi, ColorProfile(cfg.eps, cfg.p, cfg.M).evaluate_v(xi))
+    u = GridFunction(xi, 1.0 - (v.values + 1.0) / 2.0)
+    with pytest.raises(QuadratureFailure), np.errstate(all="ignore"):
+        picard_step(broken, cfg, u, v)
+
+
 def test_exponent_h_is_nonnegative_with_zero_min(burgers):
     sol = _solve(burgers, 1.0, 0.0)
     assert sol.h.values.min() == 0.0
@@ -105,6 +137,45 @@ def test_nonconvergence_is_reported():
     with pytest.raises(NonConvergence) as err:
         solve_scalar(model, ScalarSolveConfig(eps=0.05, max_iters=1), 1.0, 0.0)
     assert len(err.value.residuals) == 1
+    exc = err.value
+    assert (exc.eps, exc.n, exc.u_left, exc.u_right, exc.iterations) == (0.05, 1600, 1.0, 0.0, 1)
+    for part in ("after 1 iterations", "eps=0.05", "n=1600", "u_left=1", "u_right=0",
+                 f"{exc.residuals[-1]:.3e}"):
+        assert part in str(exc)
+
+
+def test_solution_keeps_residual_history(burgers):
+    sol = _solve(burgers, 1.0, 0.0)
+    assert len(sol.residuals) == sol.iterations
+    assert sol.residuals[-1] == sol.residual <= 1e-10
+    assert all(r > 1e-10 for r in sol.residuals[:-1])
+
+
+@pytest.mark.parametrize("uL, uR", [(-0.8131, 0.3962), (-0.8569, 0.0358), (-1.13, 0.655)])
+def test_resonant_rarefaction_converges_cold(burgers, uL, uR):
+    """Transonic rarefactions have their sonic point at the interface speed
+    0; each rung is solved cold and must approach the exact solution."""
+    exact = exact_scalar_riemann(lambda w: np.asarray(w, float) ** 2 / 2.0, uL, uR)
+    distances = []
+    for eps in (0.05, 0.0125, 0.00625):
+        sol = _solve(burgers, uL, uR, eps=eps, M=burgers.Lambda + 1.0)
+        assert sol.iterations <= 100
+        assert sol.monotone
+        assert sol.tv_u <= abs(uR - uL) + 1e-12
+        distances.append(l1_distance(sol.u, GridFunction(sol.u.xi, exact(sol.u.xi))))
+    assert distances[0] > distances[1] > distances[2]
+
+
+@pytest.mark.parametrize("uL, uR", [(1.2153, -0.3982), (1.257, -0.1119), (1.1052, -0.2164)])
+def test_cold_shock_far_from_the_interface_converges(burgers, uL, uR):
+    """The cold guess puts the jump in the color layer; these shocks must
+    travel 0.41 to 0.57 to their speed, many layer widths at eps = 0.0125,
+    which unsafeguarded extrapolation does not survive."""
+    sol = _solve(burgers, uL, uR, eps=0.0125, M=burgers.Lambda + 1.0)
+    assert sol.monotone
+    assert sol.tv_u <= abs(uR - uL) + 1e-12
+    mid = sol.u.xi[np.argmin(np.abs(sol.u.values - (uL + uR) / 2.0))]
+    assert mid == pytest.approx((uL + uR) / 2.0, abs=0.02)
 
 
 def test_viscosity_rescaling_invariance(burgers):

@@ -154,10 +154,13 @@ def test_n1_system_matches_scalar_solver(burgers):
         B0=lambda u, v: 1.0 + 0.3 * np.asarray(u, dtype=float) ** 2 + 0.0 * np.asarray(v))
     from selfsim.diagnostics import l1_distance
     from selfsim.grid import GridFunction
-    eps = 0.1
-    uL, uR = 0.52, 0.48
-    for scalar_model in (burgers, cubic):
-        sys_model = system_from_scalar(scalar_model, u_center=0.5, delta0=0.4)
+    # u_center = 0 puts the band [-0.4, 0.4] of Burgers speeds across the
+    # interface speed 0 (resonance), in both data orders and down the ladder
+    cases = [(burgers, 0.5, 0.1, 0.52, 0.48), (cubic, 0.5, 0.1, 0.52, 0.48)]
+    cases += [(burgers, 0.0, eps, uL, -uL)
+              for eps in (0.1, 0.05, 0.025) for uL in (0.02, -0.02)]
+    for scalar_model, u_center, eps, uL, uR in cases:
+        sys_model = system_from_scalar(scalar_model, u_center=u_center, delta0=0.4)
         assert (sys_model.eta > 0) == (scalar_model is cubic)
         scal = solve_scalar(scalar_model, ScalarSolveConfig(eps=eps, M=sys_model.M),
                             uL, uR)
