@@ -19,7 +19,7 @@ from .models import (
 )
 from .scalar import ScalarSolveConfig, ScalarSolution, solve_scalar
 from .spectral import SpectralData, solve_generalized_eigen, estimate_eta_nu
-from .measures import ClassLFunction, WaveMeasureSet, build_phi_star
+from .measures import WaveMeasureSet, build_phi_star
 from .system import SystemSolveConfig, SystemSolveState, solve_system
 from . import diagnostics
 
@@ -38,7 +38,6 @@ __all__ = [
     "SpectralData",
     "solve_generalized_eigen",
     "estimate_eta_nu",
-    "ClassLFunction",
     "WaveMeasureSet",
     "build_phi_star",
     "SystemSolveConfig",

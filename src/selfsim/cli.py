@@ -44,15 +44,11 @@ COMMANDS = ("solve-scalar", "solve-system", "spectral-sweep",
 
 CONFIG_KEYS = {
     "model", "model_options", "eps", "eps_ladder", "p", "M", "grid",
-    "fix_tol", "uL", "uR", "u", "out", "strict", "seed",
+    "fix_tol", "uL", "uR", "u", "out", "strict",
 }
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class AcceptanceFailure(RuntimeError):
     pass
 
 
@@ -72,7 +68,6 @@ class RunConfig:
     u: object = None
     out: str = "out"
     strict: bool = False
-    seed: int = 0
     overrides: dict = field(default_factory=dict)
 
     def validate(self):
@@ -125,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--u", help="frozen state for spectral-sweep")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--strict", action="store_true", default=None)
-        sp.add_argument("--seed", type=int)
     return parser
 
 
@@ -146,7 +140,7 @@ def parse_config(argv) -> RunConfig:
 
     overrides = {}
     for key in ("model", "eps", "p", "M", "grid", "fix_tol", "out",
-                "strict", "seed"):
+                "strict"):
         val = getattr(ns, key)
         if val is not None:
             overrides[key] = val

@@ -53,16 +53,3 @@ class ColorProfile:
         a = self._scale()
         # 1 - v(c) = (erfc(c/a) - erfc(M/a)) / erf(M/a)
         return float((erfc(c / a) - erfc(self.M / a)) / erf(self.M / a))
-
-    def invert_v(self, target: float, tol: float = 1e-12) -> float:
-        """xi with v(xi) = target, by bisection on the interior."""
-        if not -1.0 < target < 1.0:
-            raise ValueError("target must be interior to (-1, 1)")
-        lo, hi = -self.M, self.M
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.evaluate_v(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)

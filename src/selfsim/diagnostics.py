@@ -314,20 +314,26 @@ class TraceWindowError(ValueError):
     """A one-sided trace window holds fewer than two grid points."""
 
 
-def _trace_window(xi: np.ndarray, eps: float, p: float, side: str) -> np.ndarray:
-    """Mask of the fit window +-[5, 10] eps^(p/2) on the grid ``xi``."""
+def _trace_window(xi: np.ndarray, eps: float, p: float, side: str) -> tuple[np.ndarray, dict]:
+    """Mask of the fit window +-[5, 10] eps^(p/2) on the grid ``xi``, and the
+    window as fitted: the part of it inside [-M, M] as [lo, hi], its number
+    of grid points, and whether [-M, M] cut it."""
     scale = eps ** (p / 2.0)
     lo, hi = 5.0 * scale, 10.0 * scale
     if side == "minus":
         mask = (xi >= -hi) & (xi <= -lo)
     else:
         mask = (xi >= lo) & (xi <= hi)
-    if mask.sum() < 2:
+    points = int(mask.sum())
+    M = float(xi[-1])
+    if points < 2:
         raise TraceWindowError(
             f"eps={eps:g}: trace window {'-' if side == 'minus' else '+'}"
             f"[{lo:.4g}, {hi:.4g}] holds fewer than 2 grid points of "
-            f"[-M, M], M={float(xi[-1]):g}; shrink eps or enlarge M")
-    return mask
+            f"[-M, M], M={M:g}; shrink eps or enlarge M")
+    fit_lo, fit_hi = (-min(hi, M), -lo) if side == "minus" else (lo, min(hi, M))
+    return mask, {"eps": eps, "lo": fit_lo, "hi": fit_hi, "points": points,
+                  "truncated": hi > M}
 
 
 def check_trace_windows(config: ScalarSolveConfig, eps_ladder: Sequence[float]) -> None:
@@ -345,7 +351,7 @@ def check_trace_windows(config: ScalarSolveConfig, eps_ladder: Sequence[float]) 
 def _one_sided_trace(sol: ScalarSolution, side: str) -> float:
     """Linear fit of u over xi in +-[5, 10] eps^(p/2), extrapolated to 0."""
     xi = sol.u.xi
-    mask = _trace_window(xi, sol.eps, sol.p, side)
+    mask, _ = _trace_window(xi, sol.eps, sol.p, side)
     coeff = np.polyfit(xi[mask], sol.u.values[mask], 1)
     return float(np.polyval(coeff, 0.0))
 
@@ -386,6 +392,10 @@ def interface_trace_report(solutions: Sequence[ScalarSolution],
     return {
         "eps_ladder": ladder,
         "per_eps_traces": per_eps,
+        # a window that only partly lies inside [-M, M] is fitted on what is
+        # left of it; "truncated" says so
+        "fit_windows": {side: [_trace_window(s.u.xi, s.eps, s.p, side)[1]
+                               for s in solutions] for side in ("minus", "plus")},
         "trace_minus": traces["minus"],
         "trace_plus": traces["plus"],
         "traces_agree": abs(traces["minus"] - traces["plus"]) <= agree_tol,

@@ -14,10 +14,11 @@ integrals
     F_{j,k->i}(y)   = phi*_i(y) int_{c_i}^{y} phi*_j phi*_k / phi*_i dx
     J^psi_{j->i}(y) = phi*_i(y) int_{c_i}^{y} psi phi*_j / phi*_i dx
 
-quantify linear, quadratic, and color-coupled exchange between families; all
-are evaluated in log space and cross-checked through two algebraically
-equivalent organizations (direct anchoring at c_i versus additive splitting
-through the minimizer rho_i).
+quantify linear, quadratic, and color-coupled exchange between families.  All
+three are evaluated by the one log-space kernel `quadrature.weighted_transfer`
+(direct anchoring at c_i) and cross-checked against an algebraically
+equivalent organization, `_transfer_via_rho` (additive splitting through the
+minimizer rho_i).
 """
 
 from __future__ import annotations
@@ -28,76 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridFunction
-from .quadrature import LOG_FLOOR, log_cumtrapz_from, log_trapz
+from .quadrature import LOG_FLOOR, log_cumtrapz_from, log_of, log_trapz, weighted_transfer
 
 
 class ClassLViolation(ValueError):
     """Speed field fails the class-L sign pattern for its band."""
-
-
-@dataclass(frozen=True)
-class ClassLFunction:
-    """Sampled almost-linear field h(x) = d(x) (lam(x) - x)."""
-
-    x: np.ndarray
-    d_values: np.ndarray
-    lam_values: np.ndarray
-    d_min: float
-    d_max: float
-    lam_min: float
-    lam_max: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "d_values", np.broadcast_to(
-            np.asarray(self.d_values, dtype=float), self.x.shape).copy())
-        object.__setattr__(self, "lam_values", np.broadcast_to(
-            np.asarray(self.lam_values, dtype=float), self.x.shape).copy())
-        if not (0 < self.d_min <= self.d_max):
-            raise ClassLViolation("factor bounds must satisfy 0 < d_min <= d_max")
-        if np.any(self.d_values < self.d_min - 1e-12) or np.any(self.d_values > self.d_max + 1e-12):
-            raise ClassLViolation("factor d leaves [d_min, d_max]")
-        if np.any(self.lam_values < self.lam_min - 1e-12) or np.any(self.lam_values > self.lam_max + 1e-12):
-            raise ClassLViolation("speed lam leaves [lam_min, lam_max]")
-        h = self.h_values
-        if np.any(h[self.x < self.lam_min] <= 0) or np.any(h[self.x > self.lam_max] >= 0):
-            raise ClassLViolation("h must be positive left of lam_min and negative right of lam_max")
-
-    @property
-    def h_values(self) -> np.ndarray:
-        return self.d_values * (self.lam_values - self.x)
-
-    @classmethod
-    def from_callables(cls, x, d, lam, pad: float = 1e-9) -> "ClassLFunction":
-        x = np.asarray(x, dtype=float)
-        dv = np.broadcast_to(np.asarray(d(x), dtype=float), x.shape)
-        lv = np.broadcast_to(np.asarray(lam(x), dtype=float), x.shape)
-        return cls(x, dv, lv, float(dv.min()) - pad if dv.min() > 2 * pad else float(dv.min()) * (1 - 1e-9),
-                   float(dv.max()) + pad, float(lv.min()) - pad, float(lv.max()) + pad)
-
-
-def find_rho(classL: ClassLFunction) -> float:
-    """Global minimizer of g(x) = -int h: grid argmin (ties leftmost) refined
-    by bisection on the sign change of h in the bracketing cells."""
-    x, h = classL.x, classL.h_values
-    g = -GridFunction(x, h).cumtrapz().values
-    k = int(np.argmin(g))
-    # h crosses + -> - at the minimizer; bisect within the surrounding cells
-    lo = max(k - 1, 0)
-    hi = min(k + 1, len(x) - 1)
-    if h[lo] <= 0 or h[hi] >= 0:
-        return float(x[k])
-    a, b = float(x[lo]), float(x[hi])
-    d_interp = lambda t: np.interp(t, x, classL.d_values)
-    lam_interp = lambda t: np.interp(t, x, classL.lam_values)
-    h_interp = lambda t: d_interp(t) * (lam_interp(t) - t)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if h_interp(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -118,9 +54,6 @@ class WaveMeasureSet:
     @property
     def N(self) -> int:
         return self.g.shape[1]
-
-    def phi_fn(self, i: int) -> GridFunction:
-        return GridFunction(self.xi, self.phi[:, i])
 
     def phi_sum(self) -> np.ndarray:
         return self.phi.sum(axis=1)
@@ -174,22 +107,6 @@ def build_phi_star(xi: np.ndarray, mu: np.ndarray, eps: float,
                           lam_low=lam_low, lam_high=lam_high)
 
 
-def phi_ratio(xi: np.ndarray, h_values: np.ndarray, iy: int, ix: int, eps: float) -> float:
-    """log of the elementary exponential weight: (1/eps) int_{xi[iy]}^{xi[ix]} h."""
-    H = GridFunction(np.asarray(xi, dtype=float),
-                     np.asarray(h_values, dtype=float)).cumtrapz().values
-    return float((H[ix] - H[iy]) / eps)
-
-
-def _transfer_from(log_source: np.ndarray, log_phi_i: np.ndarray,
-                   xi: np.ndarray, anchor: int) -> np.ndarray:
-    """phi*_i(y) * int_{xi[anchor]}^{y} exp(log_source - log_phi_i) dx."""
-    log_abs, orient = log_cumtrapz_from(log_source - log_phi_i, xi, anchor)
-    with np.errstate(over="ignore", under="ignore"):
-        vals = np.exp(np.clip(log_phi_i + log_abs, LOG_FLOOR, 700.0))
-    return orient * vals
-
-
 def _transfer_via_rho(log_source: np.ndarray, log_phi_i: np.ndarray,
                       xi: np.ndarray, anchor: int, rho_idx: int) -> np.ndarray:
     """Equivalent organization through the minimizer: the cumulative is
@@ -197,18 +114,12 @@ def _transfer_via_rho(log_source: np.ndarray, log_phi_i: np.ndarray,
     elementary weights), recombined in log space."""
     log_abs, orient = log_cumtrapz_from(log_source - log_phi_i, xi, rho_idx)
     la_c, s_c = log_abs[anchor], orient[anchor]
-    out = np.zeros_like(log_abs)
-    for k in range(len(xi)):
-        la_y, s_y = log_abs[k], orient[k]
-        m = max(la_y, la_c)
-        if not np.isfinite(m):
-            continue
-        diff = s_y * np.exp(la_y - m) - s_c * np.exp(la_c - m)
-        if diff == 0.0:
-            continue
-        log_val = m + np.log(abs(diff)) + log_phi_i[k]
-        out[k] = np.sign(diff) * np.exp(np.clip(log_val, LOG_FLOOR, 700.0))
-    return out
+    m = np.maximum(log_abs, la_c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = orient * np.exp(log_abs - m) - s_c * np.exp(la_c - m)
+        live = np.isfinite(m) & (diff != 0.0)
+        log_val = m + np.log(np.abs(diff)) + log_phi_i
+        return np.where(live, np.sign(diff) * np.exp(np.clip(log_val, LOG_FLOOR, 700.0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -220,7 +131,7 @@ class TransferResult:
 def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
                    i: int, anchor: int) -> TransferResult:
     xi = measures.xi
-    a = _transfer_from(log_source, measures.log_phi[:, i], xi, anchor)
+    a = weighted_transfer(measures.log_phi[:, i], log_source, xi, anchor)
     b = _transfer_via_rho(log_source, measures.log_phi[:, i], xi, anchor,
                           int(measures.rho_index[i]))
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
@@ -230,14 +141,6 @@ def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
     else:
         rel = 0.0
     return TransferResult(GridFunction(xi, a), rel)
-
-
-def _log_of(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("expected a nonnegative weight")
-    with np.errstate(divide="ignore"):
-        return np.where(values > 0, np.log(np.where(values > 0, values, 1.0)), -np.inf)
 
 
 def compute_J(measures: WaveMeasureSet, j: int, i: int,
@@ -259,7 +162,7 @@ def compute_J_psi(measures: WaveMeasureSet, psi: np.ndarray, j: int, i: int,
                   c_index: int | None = None) -> TransferResult:
     """Color-coupled coefficient J^psi_{j->i} for a nonnegative weight psi."""
     anchor = int(measures.c_index[i]) if c_index is None else int(c_index)
-    log_source = _log_of(psi) + measures.log_phi[:, j]
+    log_source = log_of(psi) + measures.log_phi[:, j]
     return _dual_transfer(measures, log_source, i, anchor)
 
 

@@ -3,6 +3,9 @@
 Exponents of the form g/eps routinely reach several hundred at the small end
 of an eps ladder, so every integral against exp(-g/eps) is carried either with
 a running max-shift or entirely in log space via logaddexp accumulation.
+`weighted_transfer` is the one transfer-integral kernel (the J, F and J^psi
+coefficients of `measures` and the correction map of `system`), and `log_of`
+the one way a nonnegative weight enters log space.
 """
 
 from __future__ import annotations
@@ -55,26 +58,25 @@ def log_cumtrapz_from(log_integrand: np.ndarray, x: np.ndarray, anchor: int) -> 
     return log_abs, sign
 
 
-def weighted_transfer(log_phi: np.ndarray, source: np.ndarray, x: np.ndarray, anchor: int) -> np.ndarray:
-    """T(xi) = exp(log_phi(xi)) * int_{x[anchor]}^{xi} source / exp(log_phi) dx.
-
-    This is the J/F-type transfer integral; the inner ratio can overflow by
-    hundreds of e-folds, so positive and negative parts of the source are
-    accumulated separately in log space and recombined only after the outer
-    exp(log_phi) prefactor has been applied.
-    """
-    source = np.asarray(source, dtype=float)
+def log_of(values: np.ndarray) -> np.ndarray:
+    """log of a nonnegative weight, -inf where it vanishes."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values < 0):
+        raise ValueError("expected a nonnegative weight")
     with np.errstate(divide="ignore"):
-        log_pos = np.where(source > 0, np.log(np.abs(source), where=source != 0,
-                                               out=np.full_like(source, -np.inf)), -np.inf)
-        log_neg = np.where(source < 0, np.log(np.abs(source), where=source != 0,
-                                               out=np.full_like(source, -np.inf)), -np.inf)
-    out = np.zeros_like(log_phi)
-    for log_src, sgn_src in ((log_pos, 1.0), (log_neg, -1.0)):
-        if np.all(np.isinf(log_src)):
-            continue
-        log_abs, orient = log_cumtrapz_from(log_src - log_phi, x, anchor)
-        with np.errstate(over="ignore"):
-            vals = np.exp(np.clip(log_phi + log_abs, LOG_FLOOR, 700.0))
-        out = out + sgn_src * orient * vals
-    return out
+        return np.where(values > 0, np.log(np.where(values > 0, values, 1.0)), -np.inf)
+
+
+def weighted_transfer(log_phi: np.ndarray, log_source: np.ndarray, x: np.ndarray, anchor: int) -> np.ndarray:
+    """T(y) = exp(log_phi(y)) * int_{x[anchor]}^{y} exp(log_source - log_phi) dx.
+
+    This is the J/F/J^psi-type transfer integral of a nonnegative source; the
+    inner ratio can overflow by hundreds of e-folds, so it is accumulated in
+    log space and exponentiated only after the outer exp(log_phi) prefactor
+    has been applied.  A source that vanishes everywhere gives exact zeros.
+    """
+    if np.all(np.isneginf(log_source)):
+        return np.zeros_like(log_phi)
+    log_abs, orient = log_cumtrapz_from(log_source - log_phi, x, anchor)
+    with np.errstate(over="ignore", under="ignore"):
+        return orient * np.exp(np.clip(log_phi + log_abs, LOG_FLOOR, 700.0))

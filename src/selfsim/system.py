@@ -23,7 +23,7 @@ from .color import ColorProfile
 from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
 from .models import SystemCouplingModel
-from .quadrature import weighted_transfer
+from .quadrature import log_of, weighted_transfer
 from .spectral import eigen_fields
 
 PHI_SUM_FLOOR = 1e-300
@@ -186,8 +186,12 @@ def correction_map(measures: WaveMeasureSet, coeffs: CoefficientFields,
               + np.einsum("nkj,nj->nk", coeffs.sigma, a) * coeffs.psi[:, None])
     out = np.empty_like(theta)
     for k in range(measures.N):
-        out[:, k] = weighted_transfer(measures.log_phi[:, k], source[:, k],
+        # the kernel takes a nonnegative source: transfer each signed part
+        pos, neg = (weighted_transfer(measures.log_phi[:, k],
+                                      log_of(np.maximum(sgn * source[:, k], 0.0)),
                                       measures.xi, int(measures.c_index[k]))
+                    for sgn in (1.0, -1.0))
+        out[:, k] = pos - neg
     return out
 
 

@@ -41,9 +41,12 @@ def test_flag_overrides_config_file(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"epsilon": 0.1}))
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        parse_config(["solve-scalar", "--config", str(cfg_file)])
+    for data in ({"epsilon": 0.1}, {"seed": 0}):
+        cfg_file.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_config(["solve-scalar", "--config", str(cfg_file)])
+    with pytest.raises(SystemExit):
+        parse_config(["solve-scalar", "--seed", "0"])
 
 
 def test_missing_config_file(tmp_path):
@@ -152,6 +155,17 @@ def test_verify_lemmas_fixture(tmp_path):
     assert len(csv) > 10
 
 
+def test_verify_lemmas_resonant_fixture_config(tmp_path):
+    # family 2's band on the interface, down to eps = 0.0125
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "model": "two-band-fixture", "model_options": {"speeds": [-1.2, 0.0]},
+        "eps_ladder": [0.1, 0.05, 0.025, 0.0125]}))
+    code, out = _run(tmp_path, "verify-lemmas", "--config", str(cfg_file), "--strict")
+    assert code == 0
+    assert json.loads((out / "lemma_report.json").read_text())["passed"] is True
+
+
 def test_continuation_artifacts(tmp_path):
     code, out = _run(tmp_path, "continuation", "--eps-ladder", "0.1,0.05",
                      "--uL", "1.0", "--uR", "0.0", "--strict")
@@ -175,6 +189,26 @@ def test_trace_report_artifacts(tmp_path):
     assert code == 0
     report = json.loads((out / "trace_report.json").read_text())
     assert "trace_minus" in report and "trace_plus" in report
+
+
+def test_trace_report_records_truncated_windows(tmp_path):
+    # M = Lambda + 1 = 2.5: at eps = 0.1 the window [1.58, 3.16] is fitted
+    # on [1.58, 2.5]; at eps = 0.025, [0.79, 1.58] fits whole
+    code, out = _run(tmp_path, "trace-report", "--model", "burgers-identical",
+                     "--eps-ladder", "0.1,0.05,0.025", "--uL", "-0.5", "--uR", "-1.0")
+    assert code == 0
+    windows = json.loads((out / "trace_report.json").read_text())["fit_windows"]
+    plus, minus = windows["plus"], windows["minus"]
+    assert [w["eps"] for w in plus] == [0.1, 0.05, 0.025]
+    assert plus[0]["lo"] == pytest.approx(5 * 0.1 ** 0.5)
+    assert plus[0]["hi"] == 2.5 and plus[0]["truncated"] is True
+    assert minus[0]["lo"] == -2.5 and minus[0]["hi"] == pytest.approx(-5 * 0.1 ** 0.5)
+    assert minus[0]["truncated"] is True
+    scale = 0.025 ** 0.5
+    assert (plus[2]["lo"], plus[2]["hi"]) == pytest.approx((5 * scale, 10 * scale))
+    assert (minus[2]["lo"], minus[2]["hi"]) == pytest.approx((-10 * scale, -5 * scale))
+    assert plus[2]["truncated"] is False and minus[2]["truncated"] is False
+    assert all(w["points"] >= 2 for w in plus + minus)
 
 
 def test_trace_report_window_past_M_is_a_typed_error(tmp_path, capsys):

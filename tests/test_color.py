@@ -66,14 +66,6 @@ def test_sgn_deviation_shrinks_with_eps():
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
-@settings(deadline=None)
-@given(st.floats(-0.95, 0.95))
-def test_invert_v_roundtrip(target):
-    prof = ColorProfile(eps=0.05, p=1.0, M=2.0)
-    xi = prof.invert_v(target)
-    assert prof.evaluate_v(xi) == pytest.approx(target, abs=1e-9)
-
-
 def test_parameter_validation():
     for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError):
@@ -83,5 +75,3 @@ def test_parameter_validation():
     prof = ColorProfile(eps=0.1)
     with pytest.raises(ValueError):
         prof.sgn_deviation(-0.1)
-    with pytest.raises(ValueError):
-        prof.invert_v(1.0)

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import selfsim
 from selfsim.grid import GridFunction, default_grid_size, uniform_grid
-from selfsim.quadrature import log_cumtrapz_from, log_trapz, weighted_transfer
+from selfsim.quadrature import log_cumtrapz_from, log_of, log_trapz, weighted_transfer
 
 
 def test_gridfunction_validates_shapes():
@@ -135,9 +135,10 @@ def test_log_cumtrapz_orientation_and_values():
 def test_weighted_transfer_matches_naive_at_moderate_exponents():
     x = np.linspace(-1.0, 1.0, 801)
     log_phi = -x ** 2
-    source = np.sin(3.0 * x)  # mixed sign
+    source = np.sin(3.0 * x)  # mixed sign: transfer each signed part
     anchor = 400
-    got = weighted_transfer(log_phi, source, x, anchor)
+    got = (weighted_transfer(log_phi, log_of(np.maximum(source, 0.0)), x, anchor)
+           - weighted_transfer(log_phi, log_of(np.maximum(-source, 0.0)), x, anchor))
     from scipy.integrate import cumulative_trapezoid
     inner = cumulative_trapezoid(source / np.exp(log_phi), x, initial=0.0)
     naive = np.exp(log_phi) * (inner - inner[anchor])
@@ -151,6 +152,19 @@ def test_weighted_transfer_survives_stiff_weights():
     x = np.linspace(-2.0, 2.0, 4001)
     log_phi = -(x ** 2) / eps
     source = np.exp(log_phi)  # self-transfer
-    out = weighted_transfer(log_phi, source, x, anchor=2000)
+    out = weighted_transfer(log_phi, log_of(source), x, anchor=2000)
     assert np.all(np.isfinite(out))
     assert np.abs(out).max() < 4.0  # |J_{i->i}| <= interval length * phi scale
+
+
+def test_weighted_transfer_of_zero_source_is_exactly_zero():
+    x = np.linspace(-1.0, 1.0, 201)
+    out = weighted_transfer(-x ** 2, log_of(np.zeros_like(x)), x, anchor=50)
+    assert np.array_equal(out, np.zeros_like(x))
+    assert not np.signbit(out).any()
+
+
+def test_log_of_rejects_negative_weights():
+    assert np.array_equal(log_of(np.array([0.0, 1.0])), [-np.inf, 0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        log_of(np.array([1.0, -1e-300]))

@@ -11,10 +11,10 @@ from scipy.special import erf
 
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
-from selfsim.measures import (ClassLFunction, ClassLViolation, build_phi_star,
+from selfsim.measures import (ClassLViolation, _transfer_via_rho, build_phi_star,
                               compute_F, compute_J, compute_J_psi,
-                              constant_speed_fields, find_rho, phi_ratio,
-                              verify_bounds)
+                              constant_speed_fields, verify_bounds)
+from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from
 
 M = 2.0
 EPS = 0.05
@@ -24,23 +24,6 @@ def _measures(lams=(-1.2, 0.4), eps=EPS, n=3201):
     xi = uniform_grid(M, n)
     mu, lo, hi = constant_speed_fields(xi, lams)
     return build_phi_star(xi, mu, eps, lo, hi)
-
-
-def test_class_l_container_validates_bounds():
-    x = np.linspace(-2, 2, 101)
-    ClassLFunction(x, 1.0, 0.5, 0.9, 1.1, 0.4, 0.6)
-    with pytest.raises(ClassLViolation):
-        ClassLFunction(x, 1.0, 0.5, 2.0, 3.0, 0.4, 0.6)  # d below d_min
-    with pytest.raises(ClassLViolation):
-        ClassLFunction(x, -1.0, 0.5, 0.9, 1.1, 0.4, 0.6)  # sign pattern
-
-
-def test_find_rho_constant_speed():
-    # for mu = lam - x the minimizer of g = -int mu is exactly x = lam
-    x = np.linspace(-2, 2, 517)
-    cl = ClassLFunction.from_callables(x, lambda t: np.ones_like(t),
-                                       lambda t: np.full_like(t, 0.37))
-    assert find_rho(cl) == pytest.approx(0.37, abs=1e-10)
 
 
 def test_phi_star_is_truncated_gaussian():
@@ -62,15 +45,6 @@ def test_class_l_sign_pattern_enforced():
     mu = np.abs(xi)[:, None]  # positive on both sides: not class L
     with pytest.raises(ClassLViolation):
         build_phi_star(xi, mu, EPS, np.array([-0.1]), np.array([0.1]))
-
-
-def test_phi_ratio_is_log_weight():
-    xi = np.linspace(-2, 2, 401)
-    h = 1.0 - 0.0 * xi
-    # int_0^1 1 = 1, so log ratio = 1/eps
-    iy = np.argmin(np.abs(xi))
-    ix = np.argmin(np.abs(xi - 1.0))
-    assert phi_ratio(xi, h, iy, ix, 0.5) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_self_transfer_closed_form():
@@ -120,10 +94,47 @@ def test_cross_transfer_scales_linearly_in_eps():
 
 
 def test_dual_organizations_agree_on_stiff_problem():
+    # the default anchor c_i is the minimizer rho_i on this fixture; anchors
+    # moved off it make the two organizations take different paths
     m = _measures(eps=0.0125, n=12800)
-    for (j, i) in ((0, 1), (1, 0), (0, 0), (1, 1)):
-        assert compute_J(m, j, i).crosscheck < 1e-6
-        assert compute_F(m, j, j, i).crosscheck < 1e-6
+    for shift in (None, -0.05, 0.05, 0.3):
+        for (j, i) in ((0, 1), (1, 0), (0, 0), (1, 1)):
+            c_index = None
+            if shift is not None:
+                c_index = int(np.argmin(np.abs(m.xi - (m.rho[i] + shift))))
+                assert c_index != m.rho_index[i]
+            assert compute_J(m, j, i, c_index).crosscheck < 1e-6
+            assert compute_F(m, j, j, i, c_index).crosscheck < 1e-6
+
+
+def _transfer_via_rho_pointwise(log_source, log_phi_i, xi, anchor, rho_idx):
+    """Per-point reference for the vectorized rho organization."""
+    log_abs, orient = log_cumtrapz_from(log_source - log_phi_i, xi, rho_idx)
+    la_c, s_c = log_abs[anchor], orient[anchor]
+    out = np.zeros_like(log_abs)
+    for k in range(len(xi)):
+        m = max(log_abs[k], la_c)
+        if not np.isfinite(m):
+            continue
+        diff = orient[k] * np.exp(log_abs[k] - m) - s_c * np.exp(la_c - m)
+        if diff == 0.0:
+            continue
+        log_val = m + np.log(abs(diff)) + log_phi_i[k]
+        out[k] = np.sign(diff) * np.exp(np.clip(log_val, LOG_FLOOR, 700.0))
+    return out
+
+
+def test_transfer_via_rho_matches_pointwise_loop():
+    m = _measures(lams=(-1.2, 0.0), eps=0.025, n=1601)
+    sources = (m.log_phi[:, 0], m.log_phi[:, 0] + m.log_phi[:, 1],
+               np.full_like(m.xi, -np.inf))
+    for i in range(2):
+        for shift in (0.0, -0.05, 0.3):
+            anchor = int(np.argmin(np.abs(m.xi - (m.rho[i] + shift))))
+            for src in sources:
+                args = (src, m.log_phi[:, i], m.xi, anchor, int(m.rho_index[i]))
+                assert np.array_equal(_transfer_via_rho(*args),
+                                      _transfer_via_rho_pointwise(*args))
 
 
 def test_color_weighted_transfer_with_gaussian_weight():
