@@ -182,7 +182,8 @@ class SystemCouplingModel:
         return np.asarray(self.B0(u, v)) @ np.linalg.inv(np.asarray(self.A0(u, v)))
 
     def in_ball(self, u, slack: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(np.asarray(u) - self.u_ref) <= self.delta0 + slack)
+        """True if every stacked state u (..., N) lies in the state ball."""
+        return bool(np.all(np.linalg.norm(np.asarray(u) - self.u_ref, axis=-1) <= self.delta0 + slack))
 
     def ball_samples(self, count: int) -> np.ndarray:
         """Deterministic low-discrepancy-ish samples of the state ball."""

@@ -59,10 +59,10 @@ def log_cumtrapz_from(log_integrand: np.ndarray, x: np.ndarray, anchor: int) -> 
 
 
 def log_of(values: np.ndarray) -> np.ndarray:
-    """log of a nonnegative weight, -inf where it vanishes."""
+    """log of a finite nonnegative weight, -inf where it vanishes."""
     values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError("expected a nonnegative weight")
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError("expected a finite nonnegative weight")
     with np.errstate(divide="ignore"):
         return np.where(values > 0, np.log(np.where(values > 0, values, 1.0)), -np.inf)
 

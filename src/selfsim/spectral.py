@@ -8,7 +8,8 @@ d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 
 All of it is computed by one kernel, ``eigen_fields``, on stacked points with
 stacked LAPACK calls; the single-point ``solve_generalized_eigen`` is its
-n = 1 case.
+n = 1 case.  ``eigenvector_derivative`` differentiates r_hat by first-order
+perturbation of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ import numpy as np
 from .models import ModelConstructionError, SystemCouplingModel
 
 
-class HyperbolicityError(ValueError):
-    """Complex eigenvalues encountered; records the offending point."""
+# speeds closer than this fraction of max(1, max |mu|) count as coincident
+GAP_FLOOR = 1e-8
 
-    def __init__(self, u, v, xi):
-        super().__init__(f"complex eigenvalues at u={np.asarray(u)}, v={v}, xi={xi}")
+
+class HyperbolicityError(ValueError):
+    """Complex or coincident eigenvalues; records the offending point."""
+
+    def __init__(self, u, v, xi, reason: str = "complex eigenvalues"):
+        super().__init__(f"{reason} at u={np.asarray(u)}, v={v}, xi={xi}")
         self.point = (np.asarray(u).copy(), float(v), float(xi))
 
 
@@ -67,15 +72,13 @@ def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return w.real[order], V.T, L
 
 
-def eigen_fields(model: SystemCouplingModel, U, v, xi,
-                 reference: np.ndarray | None = None) -> SpectralData:
+def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:
     """Eigendata of the pencil at the stacked points (U[k], v[k], xi[k]).
 
     Eigenvector signs are fixed per point (largest component positive) and
-    then, without ``reference``, continued along the points: each r_hat_i
-    is flipped so that r_hat_i(k) . r_hat_i(k-1) >= 0.  With ``reference``
-    (n, N, N), each r_hat_i(k) is matched to reference[k, i] instead.  The
-    left covectors always flip with their eigenvectors.
+    then continued along the points: each r_hat_i is flipped so that
+    r_hat_i(k) . r_hat_i(k-1) >= 0.  The left covectors flip with their
+    eigenvectors.
     """
     U = np.asarray(U, dtype=float).reshape(-1, model.N)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -104,14 +107,44 @@ def eigen_fields(model: SystemCouplingModel, U, v, xi,
     residual = np.linalg.norm(shifted @ V - BV * mu[:, None, :], 2, axis=(1, 2))
 
     R = np.swapaxes(V, 1, 2)
-    if reference is None:
-        flips = np.ones_like(mu)
-        flips[1:] = np.cumprod(_signs(np.einsum("nij,nij->ni", R[:-1], R[1:])), axis=0)
-    else:
-        flips = _signs(np.einsum("nij,nij->ni", reference, R))
+    flips = np.ones_like(mu)
+    flips[1:] = np.cumprod(_signs(np.einsum("nij,nij->ni", R[:-1], R[1:])), axis=0)
     return SpectralData(mu=mu, r_hat=R * flips[:, :, None],
                         l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d,
                         residual=residual)
+
+
+def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
+    """dr_hat (r_hat's layout) along derivatives (dK, dB) of the pencil
+    (-xi I + A, B), which broadcast against (n, N, N) with leading directions:
+    dr_j = sum_k C_kj r_k, C_kj = l_k . (dK - mu_j dB) r_j / (mu_j - mu_k) for
+    k != j and C_jj = -sum_{k != j} C_kj (r_j . r_k), which keeps |r_j| = 1.
+    Raises HyperbolicityError at the first point where two speeds coincide."""
+    mu, Rc = data.mu, np.swapaxes(data.r_hat, -1, -2)  # columns r_j
+    j, off = np.arange(mu.shape[1]), ~np.eye(mu.shape[1], dtype=bool)
+    gap = mu[:, None, :] - mu[:, :, None]  # [n, k, j] = mu_j - mu_k
+    floor = GAP_FLOOR * np.maximum(1.0, np.abs(mu).max(axis=1))
+    close = ((np.abs(gap) < floor[:, None, None]) & off).any(axis=(1, 2))
+    if close.any():
+        k = int(np.argmax(close))
+        raise HyperbolicityError(U[k], v[k], xi[k], "coincident speeds")
+    P = data.l_hat @ (dK @ Rc - (dB @ Rc) * mu[:, None, :])
+    C = np.where(off, P / np.where(off, gap, 1.0), 0.0)
+    C[..., j, j] = -np.einsum("...kj,...jk->...j", C, data.r_hat @ Rc)
+    return np.swapaxes(Rc @ C, -1, -2)
+
+
+def matrix_derivatives(model: SystemCouplingModel, U, v, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (dA, dB), shape (m, n, N, N), of the pencil
+    matrices at the n points (U, v), each along a row of ``steps`` (m, N + 1),
+    a step in (u, v), per unit length; one stacked A and B call, no eigensolve."""
+    steps = np.asarray(steps, dtype=float)[:, None, :]
+    pts = np.column_stack([U, v])
+    shifted = np.concatenate([pts + steps, pts - steps]).reshape(-1, model.N + 1)
+    shape = (2, len(steps), len(pts), model.N, model.N)
+    A, B = (f(shifted[:, :-1], shifted[:, -1]).reshape(shape) for f in (model.A, model.B))
+    h = 2.0 * np.linalg.norm(steps, axis=-1)[..., None, None]
+    return (A[0] - A[1]) / h, (B[0] - B[1]) / h
 
 
 def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) -> SpectralData:
@@ -125,44 +158,17 @@ def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) 
 def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24,
                     v_step: float = 1e-5) -> tuple[float, float]:
     """eta = max sampled operator-norm distance of B from the identity;
-    nu = max sampled |l_hat_i . d/dv (B r_hat_j)| by central differences."""
+    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by pencil perturbation."""
     pts = model.ball_samples(sample_count)
     vs = np.linspace(-1.0 + v_step, 1.0 - v_step, 9)
     xis = np.linspace(-model.M, model.M, 5)
     # the (state, color, xi) sample grid, flattened in that order
     i, j, k = np.indices((len(pts), len(vs), len(xis))).reshape(3, -1)
     U, v, xi = pts[i], vs[j], xis[k]
-    eta = np.linalg.norm(model.B(U, v) - np.eye(model.N), 2, axis=(1, 2)).max()
-    # the signs continued along the samples cancel in |l_hat_i . d/dv (B r_hat_j)|
+    B = model.B(U, v)
+    eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
     base = eigen_fields(model, U, v, xi)
-
-    def Br(dv):
-        shifted = eigen_fields(model, U, v + dv, xi, reference=base.r_hat)
-        return model.B(U, v + dv) @ np.swapaxes(shifted.r_hat, 1, 2)
-
-    dBr = (Br(v_step) - Br(-v_step)) / (2.0 * v_step)
-    nu = np.abs(base.l_hat @ dBr).max()
+    dA, dB = matrix_derivatives(model, U, v, v_step * np.eye(model.N + 1)[-1:])
+    dR = np.swapaxes(eigenvector_derivative(base, dA, dB, U, v, xi), -1, -2)
+    nu = np.abs(base.l_hat @ (dB @ np.swapaxes(base.r_hat, 1, 2) + B @ dR)).max()
     return float(eta), float(nu)
-
-
-def check_xi_derivatives(model: SystemCouplingModel, u, v: float, xi: float,
-                         step: float = 1e-5) -> dict:
-    """Finite-difference d/dxi of r_hat and mu, with a Richardson half-step
-    consistency estimate; for B = I these are 0 and -1 exactly."""
-    base = eigen_fields(model, u, v, xi)
-
-    def fd(h):
-        hi = eigen_fields(model, u, v, xi + h, reference=base.r_hat)
-        lo = eigen_fields(model, u, v, xi - h, reference=base.r_hat)
-        return (hi.r_hat[0] - lo.r_hat[0]) / (2.0 * h), (hi.mu[0] - lo.mu[0]) / (2.0 * h)
-
-    dr, dmu = fd(step)
-    dr_half, dmu_half = fd(step / 2.0)
-    return {
-        "d_r_norm": np.linalg.norm(dr, axis=1),
-        "d_mu": dmu,
-        "d_mu_plus_one": np.abs(dmu + 1.0),
-        "richardson_r": float(np.abs(dr - dr_half).max()),
-        "richardson_mu": float(np.abs(dmu - dmu_half).max()),
-        "eta": model.eta,
-    }

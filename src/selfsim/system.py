@@ -24,15 +24,13 @@ from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
 from .models import SystemCouplingModel
 from .quadrature import log_of, weighted_transfer
-from .spectral import eigen_fields
+from .spectral import eigen_fields, eigenvector_derivative, matrix_derivatives
 
 PHI_SUM_FLOOR = 1e-300
 
-# central-difference steps of the coefficient fields: state (x delta0),
-# color and xi
-U_STEP_SCALE = 1e-5
-V_STEP = 1e-5
-XI_STEP = 1e-5
+# central-difference step of the pencil matrices A, B: state (x delta0) and
+# color
+MATRIX_STEP = 1e-5
 
 
 class SmallnessViolation(RuntimeError):
@@ -114,45 +112,33 @@ class CoefficientFields:
 def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
                           v: np.ndarray, xi: np.ndarray,
                           psi: np.ndarray) -> CoefficientFields:
-    """Pointwise eigendata plus the central-difference coefficients of the
-    characteristic ODE system, sign-matched along the grid."""
+    """Pointwise eigendata plus the coefficients of the characteristic ODE
+    system, from one eigensolve and first-order perturbation of the pencil."""
     N = model.N
     U = np.asarray(U, dtype=float).reshape(len(xi), N)
     v = np.asarray(v, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    hu = U_STEP_SCALE * model.delta0
 
     base = eigen_fields(model, U, v, xi)
-    L = base.l_hat
+    L, R = base.l_hat, np.swapaxes(base.r_hat, 1, 2)  # R: columns r_hat_j
+    B = model.B(U, v)
     A0_inv = np.linalg.inv(np.asarray(model.A0(U, v), dtype=float))
 
-    def r_cols(dU, dv, dxi):
-        """Columns r_hat_j at the shifted points, signs matched to the base."""
-        shifted = eigen_fields(model, U + dU, v + dv, xi + dxi, reference=base.r_hat)
-        return np.swapaxes(shifted.r_hat, 1, 2)
-
-    def Br(dU, dv):
-        return model.B(U + dU, v + dv) @ r_cols(dU, dv, 0.0)
-
-    # partial d/dxi of the eigenvectors at fixed (u, v)
-    dxi_r = (r_cols(0.0, 0.0, XI_STEP) - r_cols(0.0, 0.0, -XI_STEP)) / (2.0 * XI_STEP)
-    eta_pi = -(L @ (model.B(U, v) @ dxi_r))
-
-    # directional state derivatives of B r_hat_j, [point, component, family j, direction m]
-    DBr = np.empty((len(xi), N, N, N))
-    for m, e in enumerate(hu * np.eye(N)):
-        DBr[..., m] = (Br(e, 0.0) - Br(-e, 0.0)) / (2.0 * hu)
-    w = A0_inv @ np.swapaxes(base.r_hat, 1, 2)  # columns A0^{-1} r_hat_k
+    # pencil derivatives along xi (dK = -I, dB = 0), the N states and the
+    # color, stacked on a leading direction axis
+    dA, dB = matrix_derivatives(model, U, v, np.diag([MATRIX_STEP * model.delta0] * N + [MATRIX_STEP]))
+    dK = np.concatenate([np.broadcast_to(-np.eye(N), dA[:1].shape), dA])
+    dB = np.concatenate([np.zeros_like(dB[:1]), dB])
+    dR = np.swapaxes(eigenvector_derivative(base, dK, dB, U, v, xi), -1, -2)
+    # LdBr[m, n, i, j] = l_hat_i . d_m (B r_hat_j)
+    LdBr = L @ (dB @ R + B @ dR)
     # kappa[i, j, l] = - l_i . (D_u(B r_j) A0^{-1} r_l)
-    kappa = -np.einsum("nia,najm,nml->nijl", L, DBr, w)
-
-    # color derivative of B r_hat_j
-    sigma = L @ ((Br(0.0, V_STEP) - Br(0.0, -V_STEP)) / (2.0 * V_STEP))
+    kappa = -np.einsum("mnij,nml->nijl", LdBr[1:N + 1], A0_inv @ R)
 
     return CoefficientFields(xi=xi, psi=np.asarray(psi, dtype=float),
                              mu=base.mu, lambda_hat=base.lambda_hat, d=base.d,
-                             r_hat=base.r_hat, l_hat=L, eta_pi=eta_pi,
-                             kappa=kappa, sigma=sigma, A0_inv=A0_inv)
+                             r_hat=base.r_hat, l_hat=L, eta_pi=-LdBr[0],
+                             kappa=kappa, sigma=LdBr[N + 1], A0_inv=A0_inv)
 
 
 def build_measures(model: SystemCouplingModel, coeffs: CoefficientFields,
@@ -383,9 +369,12 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     else:
         raise ContractionFailure("outer state iteration (no convergence)", outer_res)
 
-    for row in U:
-        if not model.in_ball(row, slack=1e-6):
-            raise SmallnessViolation("converged profile leaves the state ball")
+    if not model.in_ball(U, slack=1e-6):
+        dist = np.linalg.norm(U - model.u_ref, axis=1)
+        k = int(np.argmax(dist > model.delta0 + 1e-6))
+        raise SmallnessViolation(
+            f"converged profile leaves the state ball at xi={xi[k]:.4f}: |u - u_ref| = "
+            f"{dist[k]:.6g} exceeds delta0 = {model.delta0:.6g} by {dist[k] - model.delta0:.3e}")
 
     u_fn = GridFunction(xi, U)
     du = np.gradient(U, xi, axis=0)

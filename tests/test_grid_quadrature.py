@@ -168,3 +168,7 @@ def test_log_of_rejects_negative_weights():
     assert np.array_equal(log_of(np.array([0.0, 1.0])), [-np.inf, 0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         log_of(np.array([1.0, -1e-300]))
+    # NaN and inf are not weights: a NaN must not be read as zero
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            log_of(np.array([0.0, 1.0, bad]))

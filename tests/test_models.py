@@ -118,6 +118,16 @@ def test_system_from_scalar_wraps_dimensions(burgers):
     assert A[0, 0] == pytest.approx(burgers.lam(0.6, 0.0), rel=1e-12)
 
 
+def test_in_ball_takes_stacked_states(p_system):
+    inside = p_system.ball_samples(16)
+    outside = p_system.u_ref + np.array([1.01 * p_system.delta0, 0.0])
+    assert p_system.in_ball(inside[0]) and p_system.in_ball(inside)
+    assert not p_system.in_ball(outside)
+    # true only if every row is in the ball
+    assert not p_system.in_ball(np.vstack([inside, outside]))
+    assert p_system.in_ball(np.vstack([inside, outside]), slack=0.02 * p_system.delta0)
+
+
 def test_preset_unknown_name():
     with pytest.raises(KeyError):
         preset_model("no-such-model")

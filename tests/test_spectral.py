@@ -5,8 +5,10 @@ import pytest
 
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
-from selfsim.spectral import (check_xi_derivatives, eig_decomposition,
-                              eigen_fields, estimate_eta_nu,
+from selfsim.models import SystemCouplingModel
+from selfsim.spectral import (HyperbolicityError, eig_decomposition,
+                              eigen_fields, eigenvector_derivative,
+                              estimate_eta_nu, matrix_derivatives,
                               solve_generalized_eigen)
 
 
@@ -55,17 +57,6 @@ def test_eigen_sample_identity_over_ball(p_system):
     assert worst_res <= 1e-9
 
 
-def test_reference_flips_signs(p_system):
-    u = np.array([1.2, 0.0])
-    data = eigen_fields(p_system, u, 0.0, 0.1)
-    flipped = eigen_fields(p_system, u, 0.0, 0.1, reference=-data.r_hat)
-    np.testing.assert_allclose(flipped.r_hat, -data.r_hat)
-    np.testing.assert_allclose(flipped.l_hat, -data.l_hat)
-    same = eigen_fields(p_system, u, 0.0, 0.1, reference=data.r_hat)
-    np.testing.assert_array_equal(same.r_hat, data.r_hat)
-    np.testing.assert_array_equal(same.l_hat, data.l_hat)
-
-
 def test_sweep_is_sign_continuous(p_system):
     xi = uniform_grid(p_system.M, 801)
     v = ColorProfile(0.05, 1.0, p_system.M).evaluate_v(xi)
@@ -106,9 +97,46 @@ def test_estimate_eta_nu_identity_viscosity(p_system):
     assert 0.0 < nu < 1.0  # eigenvectors genuinely rotate in v
 
 
-def test_check_xi_derivatives_identity_viscosity(p_system):
-    out = check_xi_derivatives(p_system, p_system.u_ref, 0.2, 0.3)
-    # B = I: r_hat is xi-independent and d mu / d xi = -1 exactly
-    assert out["d_r_norm"].max() < 1e-8
-    assert out["d_mu_plus_one"].max() < 1e-8
-    assert out["richardson_mu"] < 1e-6
+def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
+    # differentiating (K - mu_j B) r_j = 0 gives
+    # (K - mu_j B) dr_j = -(dK - mu_j dB) r_j + dmu_j B r_j, and |r_j| = 1
+    # gives r_j . dr_j = 0; checked along the color and a state direction
+    rng = np.random.default_rng(5)
+    U = p_system.ball_samples(30)
+    v = rng.uniform(-0.9, 0.9, 30)
+    xi = rng.uniform(-p_system.M, p_system.M, 30)
+    data = eigen_fields(p_system, U, v, xi)
+    dA, dB = matrix_derivatives(p_system, U, v, [[0.0, 0.0, 1e-5], [1e-5, 0.0, 0.0]])
+    dR = eigenvector_derivative(data, dA, dB, U, v, xi)
+    np.testing.assert_allclose(np.einsum("mnij,nij->mni", dR, data.r_hat), 0.0, atol=1e-14)
+    K = -xi[:, None, None] * np.eye(2) + p_system.A(U, v)
+    B = p_system.B(U, v)
+    for j in range(2):
+        r, mu = data.r_hat[:, j], data.mu[:, j, None, None]
+        dmu = np.einsum("ni,mnij,nj->mn", data.l_hat[:, j], dA - mu * dB, r)
+        lhs = np.einsum("nab,mnb->mna", K - mu * B, dR[:, :, j])
+        rhs = (-np.einsum("mnab,nb->mna", dA - mu * dB, r)
+               + dmu[..., None] * np.einsum("nab,nb->na", B, r))
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_coincident_speeds_raise_typed_error():
+    # A = 0: both speeds equal -xi, so the perturbation quotient has no gap
+    eye = np.eye(2)
+
+    def ident(u, v):
+        return np.broadcast_to(eye, np.shape(u)[:-1] + (2, 2))
+
+    model = SystemCouplingModel(
+        N=2, A0=ident, A1=lambda u, v: np.zeros(np.shape(u)[:-1] + (2, 2)),
+        B0=ident, m=1, delta0=0.1, lam_low=np.zeros(2), lam_high=np.zeros(2),
+        eta=0.0, nu=0.0, M=1.0, u_ref=np.zeros(2))
+    U = np.array([[0.01, 0.0], [0.0, 0.02]])
+    v, xi = np.array([0.3, -0.2]), np.array([0.5, 0.1])
+    data = eigen_fields(model, U, v, xi)
+    np.testing.assert_array_equal(data.mu, -xi[:, None] * np.ones(2))
+    with pytest.raises(HyperbolicityError, match="coincident speeds") as err:
+        eigenvector_derivative(data, -eye, np.zeros((2, 2)), U, v, xi)
+    u, v0, xi0 = err.value.point
+    np.testing.assert_array_equal(u, U[0])
+    assert (v0, xi0) == (0.3, 0.5)

@@ -1,16 +1,98 @@
 """Small-system solver: contraction structure, envelopes, and estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import selfsim.system
+from selfsim.color import ColorProfile
 from selfsim.models import build_scalar_model, system_from_scalar
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
+from selfsim.spectral import eigen_fields
 from selfsim.system import (SmallnessViolation, SystemSolveConfig,
                             admissible_jump_radius, assemble_coefficients,
                             build_measures, correction_map, envelope_bound,
                             solve_system, strength_matrix, weighted_norm)
 
 EPS = 0.1
+
+
+def _cubic_gamma_model(closed_form: bool = False):
+    # gamma = u + 0.2 u^3 with B0 = 1 + 0.3 u^2 has A0 != I and B != I, so
+    # the eta_pi, kappa and A0^{-1} terms enter the system solve (eta > 0).
+    # Without closed_form, gamma' and f' are the builder's finite differences.
+    def gamma(u):
+        return u + 0.2 * np.asarray(u, dtype=float) ** 3
+
+    def flux(w):
+        return np.asarray(w, dtype=float) ** 2 / 2.0
+
+    def d_gamma(u):
+        return 1.0 + 0.6 * np.asarray(u, dtype=float) ** 2
+
+    def d_flux(w):
+        return np.asarray(w, dtype=float)
+
+    derivatives = dict(d_gamma_minus=d_gamma, d_gamma_plus=d_gamma,
+                       d_f_minus=d_flux, d_f_plus=d_flux) if closed_form else {}
+    return build_scalar_model(
+        gamma, gamma, flux, flux, name="cubic-gamma-viscous",
+        B0=lambda u, v: 1.0 + 0.3 * np.asarray(u, dtype=float) ** 2 + 0.0 * np.asarray(v),
+        **derivatives)
+
+
+def _state_dependent_viscosity(p_system):
+    """The p-system with a B0 that depends on the state and the color."""
+    tau0 = p_system.u_ref[0]
+
+    def B0(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.3 * (u[..., 0] - tau0)
+        out[..., 0, 1] = 0.05 * v
+        out[..., 1, 0] = 0.1 * (u[..., 0] - tau0)
+        out[..., 1, 1] = 1.0 + 0.2 * u[..., 1] + 0.1 * v
+        return out
+
+    return dataclasses.replace(p_system, B0=B0, name="p-system-variable-B0")
+
+
+def _resonant_p_system(p_system):
+    """A1 + s A0 moves every speed by s: with s at the middle of family 1's
+    band, that band lies across the interface speed 0."""
+    s = -0.5 * (p_system.lam_low[0] + p_system.lam_high[0])
+    model = dataclasses.replace(
+        p_system, A1=lambda u, v: p_system.A1(u, v) + s * p_system.A0(u, v),
+        lam_low=p_system.lam_low + s, lam_high=p_system.lam_high + s,
+        name="p-system-resonant")
+    assert model.lam_low[0] < 0.0 < model.lam_high[0]
+    return model
+
+
+def _difference_reference(model, U, v, xi, h):
+    """eta_pi, kappa and sigma by central differences of whole eigensolves,
+    each shifted r_hat matched in sign to the base point by hand."""
+    base = eigen_fields(model, U, v, xi)
+    L = base.l_hat
+
+    def cols(dU, dv, dxi):
+        shifted = eigen_fields(model, U + dU, v + dv, xi + dxi)
+        flips = np.sign(np.einsum("nij,nij->ni", base.r_hat, shifted.r_hat))
+        return np.swapaxes(shifted.r_hat * flips[..., None], 1, 2)
+
+    def L_dBr(dU, dv, step):
+        hi = model.B(U + dU, v + dv) @ cols(dU, dv, 0.0)
+        lo = model.B(U - dU, v - dv) @ cols(-dU, -dv, 0.0)
+        return L @ (hi - lo) / (2.0 * step)
+
+    eta_pi = -(L @ model.B(U, v) @ (cols(0.0, 0.0, h) - cols(0.0, 0.0, -h)) / (2.0 * h))
+    w = np.linalg.inv(model.A0(U, v)) @ np.swapaxes(base.r_hat, 1, 2)
+    hu = h * model.delta0
+    kappa = -sum(np.einsum("nij,nl->nijl", L_dBr(hu * e, 0.0, hu), w[:, m])
+                 for m, e in enumerate(np.eye(model.N)))
+    sigma = L_dBr(0.0, h, h)
+    return eta_pi, kappa, sigma
 
 
 @pytest.fixture(scope="module")
@@ -96,26 +178,95 @@ def test_jump_exceeding_radius_rejected(p_system):
         solve_system(p_system, SystemSolveConfig(eps=EPS), uL, uR)
 
 
+def test_profile_leaving_the_ball_names_the_point(p_system):
+    # data on the ball boundary with a tau jump: the p-system's intermediate
+    # state bulges out of the ball, which the data checks cannot see
+    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    d = np.sqrt(p_system.delta0 ** 2 - jump ** 2 / 4.0) * (1.0 - 1e-12)
+    uL = p_system.u_ref + np.array([-jump / 2.0, d])
+    uR = p_system.u_ref + np.array([jump / 2.0, d])
+    with pytest.raises(SmallnessViolation, match=r"leaves the state ball at xi=-?\d") as err:
+        solve_system(p_system, SystemSolveConfig(eps=EPS), uL, uR)
+    excess = float(str(err.value).rsplit(" by ", 1)[1])
+    assert 1e-6 < excess < 0.1 * p_system.delta0
+
+
 def test_coefficient_fields_shapes_and_eta_pi(p_system):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
-    from selfsim.color import ColorProfile
     prof = ColorProfile(EPS, 1.0, p_system.M)
     v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
     U = np.tile(p_system.u_ref, (n, 1))
     coeffs = assemble_coefficients(p_system, U, v, xi, psi)
     assert coeffs.kappa.shape == (n, 2, 2, 2)
     # B = I: B d_xi r_hat = d_xi r_hat, and r_hat is xi-independent at fixed
-    # (u, v), so the eta*pi product vanishes identically
-    assert np.abs(coeffs.eta_pi).max() < 1e-8
+    # (u, v), so the eta*pi product vanishes to rounding
+    assert np.abs(coeffs.eta_pi).max() <= 1e-15
     # sigma is nonzero: eigenvectors rotate with the color
     assert np.abs(coeffs.sigma).max() > 1e-4
+
+
+def test_perturbation_coefficients_match_eigensolve_differences(p_system):
+    # the cubic-gamma model takes closed-form gamma', f': the builder's
+    # finite-difference A0 carries ~1e-10 of rounding noise, which any
+    # difference quotient in u amplifies beyond this test's tolerance
+    cubic = system_from_scalar(_cubic_gamma_model(closed_form=True), u_center=0.5, delta0=0.4)
+    models = [p_system, cubic,
+              _state_dependent_viscosity(p_system), _resonant_p_system(p_system)]
+    rng = np.random.default_rng(11)
+    n, h = 40, 1e-4
+    for model in models:
+        U = model.ball_samples(n)
+        v = rng.uniform(-0.95, 0.95, n)
+        xi = rng.uniform(-model.M, model.M, n)
+        coeffs = assemble_coefficients(model, U, v, xi, np.zeros(n))
+        ref = _difference_reference(model, U, v, xi, h)
+        half = _difference_reference(model, U, v, xi, h / 2.0)
+        for got, r, r_half in zip((coeffs.eta_pi, coeffs.kappa, coeffs.sigma), ref, half):
+            # the reference is resolved: halving the step moves it by O(h^2)
+            assert np.abs(r - r_half).max() <= 1e-8, model.name
+            assert np.abs(got - r).max() <= 1e-7, model.name
+        if model.name == "p-system-variable-B0":
+            assert np.abs(coeffs.eta_pi).max() > 1e-3  # B != I: eta_pi is exercised
+        if model is cubic:
+            # N = 1 closed form: kappa = -B'(u) / (B A0) with B = B0 / A0
+            u = U[:, 0]
+            a0, b0 = 1.0 + 0.6 * u ** 2, 1.0 + 0.3 * u ** 2
+            dB = (0.6 * u * a0 - 1.2 * u * b0) / a0 ** 2
+            assert np.abs(coeffs.kappa[:, 0, 0, 0] + dB / b0).max() <= 1e-9
+
+
+def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[-1]))
+        return eigen_fields(*args, **kwargs)
+
+    monkeypatch.setattr(selfsim.system, "eigen_fields", counted)
+    n = 64
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
+                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+    assert calls == [n]
+
+
+def test_nan_source_is_rejected_by_correction_map(p_system):
+    n = 64
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    prof = ColorProfile(EPS, 1.0, p_system.M)
+    coeffs = assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
+                                   prof.evaluate_v(xi), xi, prof.evaluate_psi(xi))
+    measures = build_measures(p_system, coeffs, EPS)
+    theta = np.zeros((n, 2))
+    theta[n // 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        correction_map(measures, coeffs, np.array([1e-3, 1e-3]), theta)
 
 
 def test_zero_correction_is_fixed_point_at_zero_strength(p_system):
     n = 128
     xi = np.linspace(-p_system.M, p_system.M, n)
-    from selfsim.color import ColorProfile
     prof = ColorProfile(EPS, 1.0, p_system.M)
     v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
     U = np.tile(p_system.u_ref, (n, 1))
@@ -141,17 +292,7 @@ def test_tv_and_slope_estimates_recorded(p_state):
 
 
 def test_n1_system_matches_scalar_solver(burgers):
-    # gamma = u + 0.2 u^3 with B0 = 1 + 0.3 u^2 has A0 != I and B != I, so
-    # the eta_pi, kappa and A0^{-1} terms enter the system solve (eta > 0)
-    def gamma(u):
-        return u + 0.2 * np.asarray(u, dtype=float) ** 3
-
-    def flux(w):
-        return np.asarray(w, dtype=float) ** 2 / 2.0
-
-    cubic = build_scalar_model(
-        gamma, gamma, flux, flux, name="cubic-gamma-viscous",
-        B0=lambda u, v: 1.0 + 0.3 * np.asarray(u, dtype=float) ** 2 + 0.0 * np.asarray(v))
+    cubic = _cubic_gamma_model()
     from selfsim.diagnostics import l1_distance
     from selfsim.grid import GridFunction
     # u_center = 0 puts the band [-0.4, 0.4] of Burgers speeds across the
