@@ -247,6 +247,16 @@ def _eps_list(cfg: RunConfig, need_ladder: bool = False) -> list[float]:
     raise ConfigError("provide --eps or --eps-ladder")
 
 
+def _single_eps(cfg: RunConfig) -> float:
+    """The one eps of a single-solve command; a ladder of more rungs is an
+    error, not a silent solve of its first rung."""
+    eps = _eps_list(cfg)
+    if len(eps) > 1:
+        raise ConfigError(f"{cfg.command} solves one eps, got the ladder {eps}; "
+                          "ladders run through continuation or verify-lemmas")
+    return eps[0]
+
+
 def _eps_tag(eps: float) -> str:
     return f"{eps:g}".replace(".", "p")
 
@@ -261,7 +271,7 @@ def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         raise ConfigError("solve-scalar requires a scalar model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError("solve-scalar requires --uL and --uR")
-    eps = _eps_list(cfg)[0]
+    eps = _single_eps(cfg)
     sol = solve_scalar(model, _scalar_config(cfg, model, eps),
                        float(cfg.uL), float(cfg.uR))
     write_csv(out / "solution.csv", ["xi", "u", "v", "h"],
@@ -283,7 +293,7 @@ def _cmd_solve_system(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         raise ConfigError("solve-system requires a system model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError("solve-system requires --uL and --uR")
-    eps = _eps_list(cfg)[0]
+    eps = _single_eps(cfg)
     sys_cfg = SystemSolveConfig(eps=eps, p=cfg.p, M=cfg.M, grid_size=cfg.grid)
     uL = np.atleast_1d(np.asarray(cfg.uL, dtype=float))
     uR = np.atleast_1d(np.asarray(cfg.uR, dtype=float))
@@ -315,7 +325,7 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     model = _build_model(cfg)
     if not isinstance(model, SystemCouplingModel):
         raise ConfigError("spectral-sweep requires a system model")
-    eps = _eps_list(cfg)[0]
+    eps = _single_eps(cfg)
     M = cfg.M if cfg.M is not None else model.M
     n = cfg.grid if cfg.grid is not None else 512
     xi = uniform_grid(M, n)

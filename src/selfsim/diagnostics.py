@@ -25,16 +25,20 @@ from .models import ScalarCouplingModel
 from .scalar import ScalarSolveConfig, ScalarSolution, solve_scalar
 
 EXCLUSION_FACTOR = 3.0  # excluded zone is |xi| < 3 eps^(p/2)
+WEAK_TOLERANCE = 1e-3   # pass mark of every weak residual
+KRUZHKOV_COUNT = 9      # entropies |w - k| at interior points k of the data
+RIEMANN_SAMPLES = 4001  # flux samples of the exact Riemann construction
+TRACE_AGREE_TOL = 1e-2  # one-sided traces closer than this agree
 
 
 # ---------------------------------------------------------------------------
 # test functions
 
 
-def bump_family(xi: np.ndarray, eps: float, p: float, side: str,
-                count: int = 12) -> list[tuple[np.ndarray, np.ndarray]]:
+def bump_family(xi: np.ndarray, eps: float, p: float,
+                side: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """Smooth bumps (1 - s^2)^4 supported in one half-line outside the color
-    layer; returns ``count`` pairs (phi, phi') sampled on ``xi``.
+    layer; returns 12 pairs (phi, phi') sampled on ``xi``.
 
     The family mixes four width fractions with three positions each, so both
     broad averages and localized probes are represented.
@@ -64,8 +68,6 @@ def bump_family(xi: np.ndarray, eps: float, p: float, side: str,
             phi = np.where(inside, (1.0 - s ** 2) ** 4, 0.0)
             dphi = np.where(inside, -8.0 * s * (1.0 - s ** 2) ** 3 / w, 0.0)
             out.append((phi, dphi))
-            if len(out) == count:
-                return out
     return out
 
 
@@ -87,28 +89,26 @@ def _weak_form(xi: np.ndarray, density: np.ndarray, flux: np.ndarray,
 
 
 def weak_conservation_residual(solution: ScalarSolution, model: ScalarCouplingModel,
-                               side: str, test_set=None) -> float:
+                               side: str, test_set) -> float:
+    """Largest weak conservation residual over the (phi, phi') pairs of
+    ``test_set``."""
     xi = solution.u.xi
-    if test_set is None:
-        test_set = bump_family(xi, solution.eps, solution.p, side)
     gamma, f = _half_model(model, side)
     w = gamma(solution.u.values)
     fw = f(w)
     return max(abs(_weak_form(xi, w, fw, phi, dphi)) for phi, dphi in test_set)
 
 
-def kruzhkov_entropies(u_left: float, u_right: float, count: int = 9) -> np.ndarray:
+def kruzhkov_entropies(u_left: float, u_right: float) -> np.ndarray:
     lo, hi = min(u_left, u_right), max(u_left, u_right)
-    return np.linspace(lo, hi, count + 2)[1:-1]
+    return np.linspace(lo, hi, KRUZHKOV_COUNT + 2)[1:-1]
 
 
 def weak_entropy_residual(solution: ScalarSolution, model: ScalarCouplingModel,
-                          side: str, k: float, test_set=None) -> float:
-    """Signed Kruzhkov residual for eta(w) = |w - k|; admissible limits give
-    values <= tolerance (one-sided)."""
+                          side: str, k: float, test_set) -> float:
+    """Signed Kruzhkov residual for eta(w) = |w - k| over ``test_set``;
+    admissible limits give values <= WEAK_TOLERANCE (one-sided)."""
     xi = solution.u.xi
-    if test_set is None:
-        test_set = bump_family(xi, solution.eps, solution.p, side)
     gamma, f = _half_model(model, side)
     w = gamma(solution.u.values)
     wk = gamma(np.asarray(k, dtype=float))
@@ -127,24 +127,22 @@ class WeakResidualReport:
     passed: bool
 
 
-def weak_residual_report(solution: ScalarSolution, model: ScalarCouplingModel,
-                         tolerance: float = 1e-3,
-                         entropy_count: int = 9) -> WeakResidualReport:
-    ks = kruzhkov_entropies(solution.u_left, solution.u_right, entropy_count)
-    entropy = []
+def weak_residual_report(solution: ScalarSolution,
+                         model: ScalarCouplingModel) -> WeakResidualReport:
+    ks = kruzhkov_entropies(solution.u_left, solution.u_right)
+    conservation, entropy = {}, []
     for side in ("minus", "plus"):
         test_set = bump_family(solution.u.xi, solution.eps, solution.p, side)
+        conservation[side] = weak_conservation_residual(solution, model, side, test_set)
         for k in ks:
             entropy.append((side, float(k),
                             weak_entropy_residual(solution, model, side, k, test_set)))
-    cons_m = weak_conservation_residual(solution, model, "minus")
-    cons_p = weak_conservation_residual(solution, model, "plus")
-    passed = (cons_m <= tolerance and cons_p <= tolerance
-              and all(v <= tolerance for _, _, v in entropy))
+    passed = (all(v <= WEAK_TOLERANCE for v in conservation.values())
+              and all(v <= WEAK_TOLERANCE for _, _, v in entropy))
     return WeakResidualReport(
         test_functions="(1-s^2)^4 bumps, 12 per side, excluded zone |xi| < 3 eps^(p/2)",
-        conservation_minus=cons_m, conservation_plus=cons_p,
-        entropy_residuals=tuple(entropy), tolerance=tolerance, passed=passed)
+        conservation_minus=conservation["minus"], conservation_plus=conservation["plus"],
+        entropy_residuals=tuple(entropy), tolerance=WEAK_TOLERANCE, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +187,8 @@ def _lower_convex_hull(us: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return np.asarray(hull, dtype=int)
 
 
-def exact_scalar_riemann(flux: Callable, u_left: float, u_right: float,
-                         samples: int = 4001) -> ExactRiemannSolution:
+def exact_scalar_riemann(flux: Callable, u_left: float,
+                         u_right: float) -> ExactRiemannSolution:
     """Entropy solution by flux-envelope construction: lower convex envelope
     for increasing data; decreasing data is mapped through u -> -u, under
     which the flux transforms to g(w) = -f(-w)."""
@@ -200,19 +198,19 @@ def exact_scalar_riemann(flux: Callable, u_left: float, u_right: float,
     if u_left > u_right:
         mirrored = exact_scalar_riemann(
             lambda w: -np.asarray(flux(-np.asarray(w, dtype=float))),
-            -u_left, -u_right, samples)
+            -u_left, -u_right)
         return ExactRiemannSolution(
             float(u_left), float(u_right),
             states=-mirrored.states, speeds=mirrored.speeds,
             shocks=tuple((s, -um, -up) for s, um, up in mirrored.shocks))
 
-    us = np.linspace(u_left, u_right, samples)
+    us = np.linspace(u_left, u_right, RIEMANN_SAMPLES)
     fs = np.asarray(flux(us), dtype=float)
     hull = _lower_convex_hull(us, fs)
     states = us[hull]
     speeds = np.diff(fs[hull]) / np.diff(states)
     speeds = np.maximum.accumulate(speeds)  # guard rounding monotonicity
-    gap = 10.0 * (u_right - u_left) / (samples - 1)
+    gap = 10.0 * (u_right - u_left) / (RIEMANN_SAMPLES - 1)
     shocks = tuple((float(speeds[k]), float(states[k]), float(states[k + 1]))
                    for k in range(len(speeds))
                    if states[k + 1] - states[k] > gap)
@@ -362,8 +360,7 @@ def _richardson(eps_pair, val_pair) -> float:
 
 
 def interface_trace_report(solutions: Sequence[ScalarSolution],
-                           model: ScalarCouplingModel,
-                           agree_tol: float = 1e-2) -> dict:
+                           model: ScalarCouplingModel) -> dict:
     """Extrapolated interface traces u(0-) and u(0+) from an eps ladder of
     converged solutions, with the scalar weak-coupling admissibility check
     run through the exact-Riemann trace construction."""
@@ -386,8 +383,8 @@ def interface_trace_report(solutions: Sequence[ScalarSolution],
     w_trace_p = float(gamma_p(traces["plus"]))
     half_m = exact_scalar_riemann(f_m, float(gamma_m(sol0.u_left)), w_trace_m)
     half_p = exact_scalar_riemann(f_p, w_trace_p, float(gamma_p(sol0.u_right)))
-    admissible_m = abs(half_m.trace("minus") - w_trace_m) <= agree_tol
-    admissible_p = abs(half_p.trace("plus") - w_trace_p) <= agree_tol
+    admissible_m = abs(half_m.trace("minus") - w_trace_m) <= TRACE_AGREE_TOL
+    admissible_p = abs(half_p.trace("plus") - w_trace_p) <= TRACE_AGREE_TOL
 
     return {
         "eps_ladder": ladder,
@@ -398,8 +395,8 @@ def interface_trace_report(solutions: Sequence[ScalarSolution],
                                for s in solutions] for side in ("minus", "plus")},
         "trace_minus": traces["minus"],
         "trace_plus": traces["plus"],
-        "traces_agree": abs(traces["minus"] - traces["plus"]) <= agree_tol,
-        "resonant": abs(traces["minus"] - traces["plus"]) > agree_tol,
+        "traces_agree": abs(traces["minus"] - traces["plus"]) <= TRACE_AGREE_TOL,
+        "resonant": abs(traces["minus"] - traces["plus"]) > TRACE_AGREE_TOL,
         "weak_condition_minus": bool(admissible_m),
         "weak_condition_plus": bool(admissible_p),
     }

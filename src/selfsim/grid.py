@@ -63,15 +63,17 @@ class GridFunction:
             return float(np.sum(np.abs(d)))
         return float(np.sum(np.linalg.norm(d, axis=1)))
 
-    def is_monotone(self, slack: float = 1e-12) -> bool:
+    def is_monotone(self) -> bool:
+        """Nondecreasing or nonincreasing, to a slack of 1e-12 per step."""
         d = np.diff(self.values)
-        return bool(np.all(d >= -slack) or np.all(d <= slack))
+        return bool(np.all(d >= -1e-12) or np.all(d <= 1e-12))
 
 
 def uniform_grid(M: float, n: int) -> np.ndarray:
     return np.linspace(-M, M, n)
 
 
-def default_grid_size(M: float, eps: float, floor: int = 512) -> int:
-    """Uniform grid resolving the O(eps) viscous layer with >= 40 points."""
-    return max(floor, int(np.ceil(40.0 * M / eps)))
+def default_grid_size(M: float, eps: float) -> int:
+    """Uniform grid resolving the O(eps) viscous layer with >= 40 points,
+    and never fewer than 512 points."""
+    return max(512, int(np.ceil(40.0 * M / eps)))

@@ -32,6 +32,10 @@ from .grid import GridFunction
 from .quadrature import LOG_FLOOR, log_cumtrapz_from, log_of, log_trapz, weighted_transfer
 
 
+# largest admitted relative disagreement of the two transfer organizations
+CROSSCHECK_TOL = 1e-6
+
+
 class ClassLViolation(ValueError):
     """Speed field fails the class-L sign pattern for its band."""
 
@@ -60,9 +64,9 @@ class WaveMeasureSet:
 
 
 def build_phi_star(xi: np.ndarray, mu: np.ndarray, eps: float,
-                   lam_low: np.ndarray, lam_high: np.ndarray,
-                   c: np.ndarray | None = None) -> WaveMeasureSet:
-    """Fundamental measures from per-family speed fields mu (shape (n, N))."""
+                   lam_low: np.ndarray, lam_high: np.ndarray) -> WaveMeasureSet:
+    """Fundamental measures from per-family speed fields mu (shape (n, N)),
+    with the transfer anchors c at the band midpoints."""
     xi = np.asarray(xi, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 1:
@@ -94,9 +98,7 @@ def build_phi_star(xi: np.ndarray, mu: np.ndarray, eps: float,
         I[i] = float(np.exp(logI))
         log_phi[:, i] = -g[:, i] / eps - logI
 
-    if c is None:
-        c = 0.5 * (lam_low + lam_high)
-    c = np.asarray(c, dtype=float)
+    c = 0.5 * (lam_low + lam_high)
     c_index = np.array([int(np.argmin(np.abs(xi - ci))) for ci in c])
 
     with np.errstate(under="ignore"):
@@ -166,15 +168,15 @@ def compute_J_psi(measures: WaveMeasureSet, psi: np.ndarray, j: int, i: int,
     return _dual_transfer(measures, log_source, i, anchor)
 
 
-def constant_speed_fields(xi: np.ndarray, lams: Sequence[float], d: float = 1.0,
+def constant_speed_fields(xi: np.ndarray, lams: Sequence[float],
                           band_halfwidth: float = 0.1,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant-speed class-L fixture: mu_i(x) = d (lam_i - x) with narrow
+    """Constant-speed class-L fixture: mu_i(x) = lam_i - x with narrow
     bands around each speed; the associated measures are truncated Gaussians,
     giving closed-form oracles for the transfer coefficients."""
     xi = np.asarray(xi, dtype=float)
     lams = np.asarray(sorted(lams), dtype=float)
-    mu = d * (lams[None, :] - xi[:, None])
+    mu = lams[None, :] - xi[:, None]
     return mu, lams - band_halfwidth, lams + band_halfwidth
 
 
@@ -207,6 +209,14 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
         report["checks"].append({"name": name, "per_eps": per_eps,
                                  "passed": bool(passed), **extra})
 
+    # worst cross-check of every transfer coefficient evaluated, per eps
+    crosscheck = dict.fromkeys(eps_ladder, 0.0)
+
+    def transfer(eps, coefficient, *args):
+        result = coefficient(sets[eps], *args)
+        crosscheck[eps] = max(crosscheck[eps], result.crosscheck)
+        return result.values.values
+
     # unit mass
     mass_dev = {eps: float(max(abs(np.trapezoid(sets[eps].phi[:, i], sets[eps].xi) - 1.0)
                                for i in range(N))) for eps in eps_ladder}
@@ -226,7 +236,7 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
         m = sets[eps]
         worst = 0.0
         for i in range(N):
-            J = compute_J(m, i, i).values.values
+            J = transfer(eps, compute_J, i, i)
             bound = 2 * M * m.phi[:, i]
             keep = m.phi[:, i] > 1e-250
             worst = max(worst, float((np.abs(J[keep]) / bound[keep]).max()))
@@ -243,7 +253,7 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
                 sups = {}
                 for eps in eps_ladder:
                     m = sets[eps]
-                    J = compute_J(m, j, i).values.values
+                    J = transfer(eps, compute_J, j, i)
                     denom = m.phi[:, i] + m.phi[:, j]
                     keep = denom > 1e-250
                     sups[eps] = float((np.abs(J[keep]) / denom[keep]).max())
@@ -258,7 +268,7 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
                     sups = {}
                     for eps in eps_ladder:
                         m = sets[eps]
-                        F = compute_F(m, j, k, i).values.values
+                        F = transfer(eps, compute_F, j, k, i)
                         denom = m.phi[:, i] + m.phi[:, j] + m.phi[:, k]
                         keep = denom > 1e-250
                         sups[eps] = float((np.abs(F[keep]) / denom[keep]).max())
@@ -276,7 +286,7 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
                         m = sets[eps]
                         psi = np.asarray(psi_factory(eps), dtype=float)
                         norm1 = float(np.trapezoid(np.abs(psi), m.xi))
-                        Jp = compute_J_psi(m, psi, j, i).values.values
+                        Jp = transfer(eps, compute_J_psi, psi, j, i)
                         denom = norm1 * (m.phi[:, i] + m.phi[:, j])
                         keep = denom > 1e-250
                         sups[eps] = float((np.abs(Jp[keep]) / denom[keep]).max())
@@ -339,6 +349,8 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
         tail[eps] = worst
         tail_ok = tail_ok and worst <= 1.0 + 1e-6
     add("tail integral <= eps / h_min", tail, tail_ok)
+    add("transfer cross-check", crosscheck,
+        all(v <= CROSSCHECK_TOL for v in crosscheck.values()))
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report

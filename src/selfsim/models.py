@@ -21,14 +21,17 @@ class ModelConstructionError(ValueError):
     """Raised when supplied half-model data violates a structural hypothesis."""
 
 
-def finite_difference(fn: Callable, step: float = 1e-6) -> Callable:
+FD_STEP = 1e-6  # central-difference step of a derivative not given in closed form
+
+
+def finite_difference(fn: Callable) -> Callable:
     def dfn(x):
-        return (np.asarray(fn(x + step)) - np.asarray(fn(x - step))) / (2.0 * step)
+        return (np.asarray(fn(x + FD_STEP)) - np.asarray(fn(x - FD_STEP))) / (2.0 * FD_STEP)
     return dfn
 
 
 def affine_blend(v):
-    """Weight of the v = +1 endpoint; the default smooth connection in v."""
+    """Weight of the v = +1 endpoint; the smooth connection in v."""
     return (1.0 + np.asarray(v)) / 2.0
 
 
@@ -72,7 +75,6 @@ def build_scalar_model(
     f_plus: Callable,
     u_domain: tuple[float, float] = (-1.5, 1.5),
     B0: Callable | None = None,
-    blend: Callable | None = None,
     d_gamma_minus: Callable | None = None,
     d_gamma_plus: Callable | None = None,
     d_f_minus: Callable | None = None,
@@ -83,24 +85,20 @@ def build_scalar_model(
     """Assemble A0, A1 by blending the v = -1 and v = +1 endpoint values.
 
     The endpoints are pinned to the half-model data, A0(u, -+1) = gamma'_-+(u)
-    and A1(u, -+1) = (f_-+ o gamma_-+)'(u); in between, the default is the
-    affine blend in v (a user blend must satisfy w(-1) = 0, w(1) = 1).
+    and A1(u, -+1) = (f_-+ o gamma_-+)'(u); in between, the blend is affine
+    in v.  Derivatives not given in closed form are finite differences.
     """
-    w = blend if blend is not None else affine_blend
-    if abs(w(-1.0)) > 1e-12 or abs(w(1.0) - 1.0) > 1e-12:
-        raise ModelConstructionError("blend must map v=-1 to 0 and v=1 to 1")
-
     dgm = d_gamma_minus or finite_difference(gamma_minus)
     dgp = d_gamma_plus or finite_difference(gamma_plus)
     dfm = d_f_minus or finite_difference(f_minus)
     dfp = d_f_plus or finite_difference(f_plus)
 
     def A0(u, v):
-        weight = w(v)
+        weight = affine_blend(v)
         return (1.0 - weight) * dgm(u) + weight * dgp(u)
 
     def A1(u, v):
-        weight = w(v)
+        weight = affine_blend(v)
         return ((1.0 - weight) * dfm(gamma_minus(u)) * dgm(u)
                 + weight * dfp(gamma_plus(u)) * dgp(u))
 
@@ -165,7 +163,6 @@ class SystemCouplingModel:
     A0: Callable
     A1: Callable
     B0: Callable
-    m: int
     delta0: float
     lam_low: np.ndarray
     lam_high: np.ndarray
@@ -255,7 +252,6 @@ def build_p_system_model(
             raise ModelConstructionError("speed bands overlap; shrink delta0 or tau_domain")
         return SystemCouplingModel(
             N=2, A0=A0, A1=A1, B0=B0,
-            m=int(np.argmin(np.minimum(np.abs(lam_low), np.abs(lam_high)))) + 1,
             delta0=float(d0),
             lam_low=lam_low, lam_high=lam_high,
             eta=0.0, nu=0.0,
@@ -280,8 +276,9 @@ def build_p_system_model(
 
 
 def system_from_scalar(model: ScalarCouplingModel, u_center: float,
-                       delta0: float | None = None, samples: int = 64) -> SystemCouplingModel:
-    """Wrap a scalar model as an N = 1 system for cross-solver comparison."""
+                       delta0: float | None = None) -> SystemCouplingModel:
+    """Wrap a scalar model as an N = 1 system for cross-solver comparison;
+    its speed band is sampled on a 64 x 64 (u, v) grid."""
     if delta0 is None:
         lo, hi = model.u_domain
         delta0 = min(u_center - lo, hi - u_center)
@@ -294,8 +291,8 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
             return np.broadcast_to(vals, _leading_shape(u, v))[..., None, None]
         return mat
 
-    us = np.linspace(u_center - delta0, u_center + delta0, samples)
-    vs = np.linspace(-1.0, 1.0, samples)
+    us = np.linspace(u_center - delta0, u_center + delta0, 64)
+    vs = np.linspace(-1.0, 1.0, 64)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
     lam = np.asarray(model.lam(UU, VV), dtype=float)
     B = np.asarray(model.B0(UU, VV), dtype=float) / np.asarray(model.A0(UU, VV), dtype=float)
@@ -303,7 +300,7 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
     sys_model = SystemCouplingModel(
         N=1,
         A0=wrap(model.A0), A1=wrap(model.A1), B0=wrap(model.B0),
-        m=1, delta0=float(delta0),
+        delta0=float(delta0),
         lam_low=np.array([lam.min() - 1e-9]),
         lam_high=np.array([lam.max() + 1e-9]),
         eta=float(np.abs(B - 1.0).max()), nu=0.0,
@@ -312,7 +309,7 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
         name=model.name + "-as-system",
     )
     from .spectral import estimate_eta_nu
-    eta, nu = estimate_eta_nu(sys_model, sample_count=min(samples, 24))
+    eta, nu = estimate_eta_nu(sys_model, sample_count=24)
     return dataclasses.replace(sys_model, eta=float(eta), nu=float(nu))
 
 
@@ -481,14 +478,20 @@ def preset_model(name: str, **kwargs):
     raise KeyError(f"unknown model preset {name!r}")
 
 
-def _callable_from_spec(spec) -> Callable:
-    """Polynomial (list of coefficients, low order first) or tabulated data."""
+def _polynomial(coeffs: np.ndarray) -> Callable:
+    return lambda u: np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), coeffs)
+
+
+def _callable_from_spec(spec) -> tuple[Callable, Callable | None]:
+    """Polynomial (list of coefficients, low order first) or tabulated data;
+    returns the function and its closed-form derivative, which a table does
+    not have (None)."""
     if isinstance(spec, dict) and "table" in spec:
         xs = np.asarray(spec["table"]["x"], dtype=float)
         ys = np.asarray(spec["table"]["y"], dtype=float)
-        return lambda u: np.interp(u, xs, ys)
+        return (lambda u: np.interp(u, xs, ys)), None
     coeffs = np.asarray(spec, dtype=float)
-    return lambda u: np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), coeffs)
+    return _polynomial(coeffs), _polynomial(np.polynomial.polynomial.polyder(coeffs))
 
 
 def model_from_config(cfg: dict):
@@ -502,20 +505,16 @@ def model_from_config(cfg: dict):
         if "u_domain" in cfg:
             kw["u_domain"] = tuple(cfg["u_domain"])
         if "B0" in cfg:
-            b0 = _callable_from_spec(cfg["B0"])
+            b0, _ = _callable_from_spec(cfg["B0"])
             kw["B0"] = lambda u, v: b0(u) + 0.0 * np.asarray(v, dtype=float)
-        return build_scalar_model(
-            _callable_from_spec(cfg["gamma_minus"]),
-            _callable_from_spec(cfg["gamma_plus"]),
-            _callable_from_spec(cfg["f_minus"]),
-            _callable_from_spec(cfg["f_plus"]),
-            name=cfg.get("name", "scalar-config"), **kw)
+        for key in ("gamma_minus", "gamma_plus", "f_minus", "f_plus"):
+            kw[key], kw[f"d_{key}"] = _callable_from_spec(cfg[key])
+        return build_scalar_model(name=cfg.get("name", "scalar-config"), **kw)
     if kind == "p-system":
         kw = {}
         if "tau_domain" in cfg:
             kw["tau_domain"] = tuple(cfg["tau_domain"])
-        return build_p_system_model(
-            _callable_from_spec(cfg["p_minus"]),
-            _callable_from_spec(cfg["p_plus"]),
-            name=cfg.get("name", "p-system-config"), **kw)
+        kw["p_minus"], kw["dp_minus"] = _callable_from_spec(cfg["p_minus"])
+        kw["p_plus"], kw["dp_plus"] = _callable_from_spec(cfg["p_plus"])
+        return build_p_system_model(name=cfg.get("name", "p-system-config"), **kw)
     raise KeyError(f"unknown model kind {kind!r}")

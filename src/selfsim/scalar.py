@@ -16,15 +16,15 @@ the discrete counterpart of the uniform total-variation bound.
 
 The fixed point u = T(u) is found by type-II Anderson mixing of T (Walker &
 Ni, SIAM J. Numer. Anal. 49, 2011) with depth ``ANDERSON_DEPTH`` and mixing
-weight ``ScalarSolveConfig.relaxation``.  Plain damped Picard stalls or
-cycles on resonant rarefactions, whose sonic point sits at the interface
-speed 0.  Each extrapolated iterate is clipped to [min(u_L, u_R),
-max(u_L, u_R)] with its ends re-pinned; one that is not finite, not
-monotone or outside the model's domain is replaced by the plain mixed step.
-That, or ANDERSON_DEPTH iterations without a new smallest residual,
-restarts the history.  The solver returns T(u) of the last iterate, so the
-returned profile is monotone with TV <= |u_R - u_L| whatever the
-extrapolation did.
+weight ``ANDERSON_MIXING``, for at most ``MAX_ITERS`` iterations.  Plain
+damped Picard stalls or cycles on resonant rarefactions, whose sonic point
+sits at the interface speed 0.  Each extrapolated iterate is clipped to
+[min(u_L, u_R), max(u_L, u_R)] with its ends re-pinned; one that is not
+finite, not monotone or outside the model's domain is replaced by the plain
+mixed step.  That, or ANDERSON_DEPTH iterations without a new smallest
+residual, restarts the history.  The solver returns T(u) of the last
+iterate, so the returned profile is monotone with TV <= |u_R - u_L|
+whatever the extrapolation did.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .grid import GridFunction, default_grid_size, uniform_grid
 from .models import ScalarCouplingModel
 
 ANDERSON_DEPTH = 5
+ANDERSON_MIXING = 0.5
+MAX_ITERS = 2500
 
 
 class QuadratureFailure(RuntimeError):
@@ -45,7 +47,7 @@ class QuadratureFailure(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """The fixed point was not reached within ``max_iters``; carries the
+    """The fixed point was not reached within ``MAX_ITERS``; carries the
     residual history and the problem that was being solved."""
 
     def __init__(self, residuals, eps: float, n: int,
@@ -67,19 +69,13 @@ class ScalarSolveConfig:
     M: float = 2.0
     grid_size: int | None = None
     fix_tol: float = 1e-10
-    max_iters: int = 2500
-    relaxation: float = 0.5  # mixing weight of the Anderson step
 
     def __post_init__(self):
         if not all(np.isfinite(x) and x > 0
                    for x in (self.eps, self.p, self.M, self.fix_tol)):
             raise ValueError("eps, p, M, fix_tol must be positive finite numbers")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError("relaxation must lie in (0, 1]")
         if self.grid_size is not None and self.grid_size < 64:
             raise ValueError("grid_size must be >= 64")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
     def resolved_grid_size(self) -> int:
         if self.grid_size is not None:
@@ -104,7 +100,7 @@ class ScalarSolution:
 
 
 def exponent_h(model: ScalarCouplingModel, u_tilde: GridFunction,
-               v: GridFunction, alpha: int | None = None) -> GridFunction:
+               v: GridFunction) -> GridFunction:
     """h(xi) = int_alpha^xi (zeta - lambda) G dzeta, with the anchor alpha at
     the grid argmin of the antiderivative (ties leftmost) so that h >= 0."""
     xi = u_tilde.xi
@@ -112,9 +108,7 @@ def exponent_h(model: ScalarCouplingModel, u_tilde: GridFunction,
         raise ValueError("iterate left the model's u domain")
     integrand = (xi - model.lam(u_tilde.values, v.values)) * model.G(u_tilde.values, v.values)
     H = GridFunction(xi, integrand).cumtrapz().values
-    if alpha is None:
-        alpha = int(np.argmin(H))
-    return GridFunction(xi, H - H[alpha])
+    return GridFunction(xi, H - H[int(np.argmin(H))])
 
 
 def picard_step(model: ScalarCouplingModel, config: ScalarSolveConfig,
@@ -166,14 +160,13 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
     # type-II Anderson mixing of T: the last ANDERSON_DEPTH differences of
     # iterates (dU) and of residuals f = T(u) - u (dF), in rows 0..stored-1
     lo, hi = min(u_left, u_right), max(u_left, u_right)
-    beta = config.relaxation
     dU = np.empty((ANDERSON_DEPTH, n))
     dF = np.empty((ANDERSON_DEPTH, n))
     pushed = 0
     u_prev = f_prev = None
     best, best_it = np.inf, 0
     residuals: list[float] = []
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         u_new = picard_step(model, config, u, v)
         f = u_new.values - u.values
         res = float(np.max(np.abs(f))) / scale
@@ -197,11 +190,11 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
         u_prev, f_prev = u.values, f
 
         # the plain mixed step, a convex combination of u and T(u)
-        cand = u.values + beta * f
+        cand = u.values + ANDERSON_MIXING * f
         stored = min(pushed, ANDERSON_DEPTH)
         if stored:
             gamma = np.linalg.lstsq(dF[:stored].T, f, rcond=None)[0]
-            extrap = cand - gamma @ (dU[:stored] + beta * dF[:stored])
+            extrap = cand - gamma @ (dU[:stored] + ANDERSON_MIXING * dF[:stored])
             finite = bool(np.all(np.isfinite(extrap)))
             extrap = np.clip(extrap, lo, hi)
             extrap[0], extrap[-1] = u_left, u_right

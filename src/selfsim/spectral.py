@@ -24,6 +24,10 @@ from .models import ModelConstructionError, SystemCouplingModel
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
 GAP_FLOOR = 1e-8
 
+# central-difference step of the pencil matrices A, B: state (x delta0) and
+# color
+MATRIX_STEP = 1e-5
+
 
 class HyperbolicityError(ValueError):
     """Complex or coincident eigenvalues; records the offending point."""
@@ -155,12 +159,11 @@ def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) 
     return SpectralData(**point)
 
 
-def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24,
-                    v_step: float = 1e-5) -> tuple[float, float]:
+def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24) -> tuple[float, float]:
     """eta = max sampled operator-norm distance of B from the identity;
     nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by pencil perturbation."""
     pts = model.ball_samples(sample_count)
-    vs = np.linspace(-1.0 + v_step, 1.0 - v_step, 9)
+    vs = np.linspace(-1.0 + MATRIX_STEP, 1.0 - MATRIX_STEP, 9)
     xis = np.linspace(-model.M, model.M, 5)
     # the (state, color, xi) sample grid, flattened in that order
     i, j, k = np.indices((len(pts), len(vs), len(xis))).reshape(3, -1)
@@ -168,7 +171,7 @@ def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24,
     B = model.B(U, v)
     eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
     base = eigen_fields(model, U, v, xi)
-    dA, dB = matrix_derivatives(model, U, v, v_step * np.eye(model.N + 1)[-1:])
+    dA, dB = matrix_derivatives(model, U, v, MATRIX_STEP * np.eye(model.N + 1)[-1:])
     dR = np.swapaxes(eigenvector_derivative(base, dA, dB, U, v, xi), -1, -2)
     nu = np.abs(base.l_hat @ (dB @ np.swapaxes(base.r_hat, 1, 2) + B @ dR)).max()
     return float(eta), float(nu)

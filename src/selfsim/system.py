@@ -16,6 +16,7 @@ its family plus a small correction.  The solve is a three-level fixed point:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,13 +25,16 @@ from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
 from .models import SystemCouplingModel
 from .quadrature import log_of, weighted_transfer
-from .spectral import eigen_fields, eigenvector_derivative, matrix_derivatives
+from .spectral import MATRIX_STEP, eigen_fields, eigenvector_derivative, matrix_derivatives
 
 PHI_SUM_FLOOR = 1e-300
 
-# central-difference step of the pencil matrices A, B: state (x delta0) and
-# color
-MATRIX_STEP = 1e-5
+# stopping rules of the three levels: the correction map's E-norm update
+# (relative to max(|tau|, 1)), the boundary residual |u(M) - u_R| of the
+# strength Newton, and the outer state update (relative to max(|jump|, 1))
+FIX_TOL, MAX_ITERS = 1e-12, 400
+STRENGTH_TOL, STRENGTH_MAX_ITERS = 1e-9, 60
+OUTER_TOL, OUTER_MAX_ITERS = 1e-8, 40
 
 
 class SmallnessViolation(RuntimeError):
@@ -59,28 +63,18 @@ class SystemSolveConfig:
     p: float = 1.0
     M: float | None = None
     grid_size: int | None = None
-    fix_tol: float = 1e-12
-    max_iters: int = 400
-    strength_tol: float = 1e-9
-    strength_max_iters: int = 60
-    outer_tol: float = 1e-8
-    outer_max_iters: int = 40
-    relaxation: float = 1.0
-    envelope_constant: float | None = None  # fitted from a probe when None
+    # the fixed tolerances, readable on an instance for error budgets
+    strength_tol: ClassVar[float] = STRENGTH_TOL
+    outer_tol: ClassVar[float] = OUTER_TOL
 
     def __post_init__(self):
-        positive = [self.eps, self.p, self.fix_tol, self.strength_tol, self.outer_tol]
+        positive = [self.eps, self.p]
         if self.M is not None:
             positive.append(self.M)
         if not all(np.isfinite(x) and x > 0 for x in positive):
-            raise ValueError("eps, p, M, fix_tol, strength_tol, outer_tol must be "
-                             "positive finite numbers")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError("relaxation must lie in (0, 1]")
+            raise ValueError("eps, p, M must be positive finite numbers")
         if self.grid_size is not None and self.grid_size < 64:
             raise ValueError("grid_size must be >= 64")
-        if min(self.max_iters, self.strength_max_iters, self.outer_max_iters) < 1:
-            raise ValueError("max_iters, strength_max_iters, outer_max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,6 @@ def fit_envelope_constant(measures: WaveMeasureSet, coeffs: CoefficientFields,
 
 def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
                      tau: np.ndarray, eta: float, nu: float, A: float,
-                     fix_tol: float = 1e-12, max_iters: int = 400,
                      ) -> tuple[np.ndarray, int, float]:
     """Picard iteration of the correction map from theta = 0; returns
     (theta, iterations, measured contraction factor)."""
@@ -204,7 +197,7 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
     bound = envelope_bound(tau, eta, nu, A)
     alpha = 0.0
     prev_update = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         new = correction_map(measures, coeffs, tau, theta)
         update = weighted_norm(new - theta, measures)
         if prev_update is not None and prev_update > 0:
@@ -213,7 +206,7 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
                 raise ContractionFailure("correction map", update / prev_update)
         prev_update = update
         theta = new
-        if update <= fix_tol * max(float(np.linalg.norm(tau)), 1.0):
+        if update <= FIX_TOL * max(float(np.linalg.norm(tau)), 1.0):
             break
     else:
         raise ContractionFailure("correction map (no convergence)", alpha)
@@ -258,7 +251,6 @@ def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
 def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
                    u_left: np.ndarray, u_right: np.ndarray,
                    eta: float, nu: float, A: float, delta: float,
-                   config: SystemSolveConfig,
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Newton iteration (frozen Jacobian = strength matrix) on the boundary
     condition u(M) = u_R; returns (tau, theta, info)."""
@@ -269,18 +261,17 @@ def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
     tau = Ct_inv @ jump
     alphas = []
     theta = np.zeros_like(measures.phi)
-    for it in range(1, config.strength_max_iters + 1):
+    for it in range(1, STRENGTH_MAX_ITERS + 1):
         if np.linalg.norm(tau) > delta * (1.0 + 1e-9):
             raise SmallnessViolation(
                 f"strength |tau|={np.linalg.norm(tau):.3e} escaped the "
                 f"admissible ball of radius {delta:.3e}")
-        theta, _, alpha = solve_correction(measures, coeffs, tau, eta, nu, A,
-                                           config.fix_tol, config.max_iters)
+        theta, _, alpha = solve_correction(measures, coeffs, tau, eta, nu, A)
         alphas.append(alpha)
         a = tau[None, :] * measures.phi + theta
         u_end = reconstruct_u(measures, coeffs, a, u_left)[-1]
         res = u_right - u_end
-        if np.linalg.norm(res) <= config.strength_tol:
+        if np.linalg.norm(res) <= STRENGTH_TOL:
             break
         tau = tau + Ct_inv @ res
     else:
@@ -344,27 +335,26 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     U = u_left[None, :] + (u_right - u_left)[None, :] * blend
 
     eta, nu = model.eta, model.nu
-    A = config.envelope_constant
     outer_res = 0.0
     alphas: list[float] = []
     scale = max(jump, 1.0)
 
-    for outer in range(1, config.outer_max_iters + 1):
+    for outer in range(1, OUTER_MAX_ITERS + 1):
         coeffs = assemble_coefficients(model, U, v, xi, psi)
         measures = build_measures(model, coeffs, config.eps)
-        if A is None:
+        if outer == 1:
+            # the envelope constant is fitted once, on the first iterate
             Ct, _ = strength_matrix(measures, coeffs, weight_A0_inv=True)
             tau0 = np.linalg.solve(Ct, u_right - u_left)
             A = fit_envelope_constant(measures, coeffs, tau0, eta, nu)
         tau, theta, info = solve_strength(measures, coeffs, u_left, u_right,
-                                          eta, nu, A, delta, config)
+                                          eta, nu, A, delta)
         alphas.extend(info["correction_alphas"])
         a = tau[None, :] * measures.phi + theta
         U_new = reconstruct_u(measures, coeffs, a, u_left)
         outer_res = float(np.abs(U_new - U).max()) / scale
-        U = (1.0 - config.relaxation) * U + config.relaxation * U_new
-        if outer_res <= config.outer_tol:
-            U = U_new
+        U = U_new
+        if outer_res <= OUTER_TOL:
             break
     else:
         raise ContractionFailure("outer state iteration (no convergence)", outer_res)

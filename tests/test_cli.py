@@ -84,6 +84,21 @@ def test_config_error_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, data", [
+    ("solve-scalar", ["--uL", "1.0", "--uR", "0.0"]),
+    ("solve-system", ["--model", "p-system", "--uL", "1.249,0.0", "--uR", "1.251,0.0"]),
+    ("spectral-sweep", ["--model", "p-system", "--grid", "128"]),
+])
+def test_single_solve_commands_reject_a_ladder(tmp_path, capsys, cmd, data):
+    code, _ = _run(tmp_path / "ladder", cmd, *data, "--eps-ladder", "0.1,0.05")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "continuation" in err
+    # a one-rung ladder is one eps
+    code, _ = _run(tmp_path / "rung", cmd, *data, "--eps-ladder", "0.1")
+    assert code == 0
+
+
 def test_solver_failure_exits_1_with_incomplete_manifest(tmp_path, capsys):
     # data outside the model domain is a solver-level failure
     for cmd, eps in (("solve-scalar", ["--eps", "0.1"]),

@@ -88,7 +88,7 @@ def test_bump_family_supports_avoid_color_layer():
 
 
 def test_kruzhkov_entropies_interior():
-    ks = kruzhkov_entropies(0.0, 1.0, 9)
+    ks = kruzhkov_entropies(0.0, 1.0)
     assert len(ks) == 9
     assert ks.min() > 0.0 and ks.max() < 1.0
 

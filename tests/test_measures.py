@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import selfsim.measures as measures_module
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
 from selfsim.measures import (ClassLViolation, _transfer_via_rho, build_phi_star,
@@ -180,3 +181,24 @@ def test_verify_bounds_single_family():
 
     report = verify_bounds(measure_factory, ladder)
     assert report["passed"], report
+
+
+def test_verify_bounds_reports_the_transfer_crosscheck(monkeypatch):
+    ladder = [0.1, 0.05]
+
+    def measure_factory(eps):
+        return _measures(eps=eps, n=int(80 * M / eps))
+
+    def crosscheck(report):
+        return next(c for c in report["checks"] if c["name"] == "transfer cross-check")
+
+    check = crosscheck(verify_bounds(measure_factory, ladder))
+    assert check["passed"] and max(check["per_eps"].values()) <= 1e-6
+    # a 1% error in one organization must fail the check on every rung
+    monkeypatch.setattr(measures_module, "_transfer_via_rho",
+                        lambda *args: 1.01 * _transfer_via_rho(*args))
+    report = verify_bounds(measure_factory, ladder)
+    check = crosscheck(report)
+    assert not check["passed"] and not report["passed"]
+    for value in check["per_eps"].values():
+        assert value == pytest.approx(0.01 / 1.01)

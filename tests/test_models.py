@@ -41,14 +41,6 @@ def test_rejects_nonmonotone_gamma():
                            lambda u: u, lambda u: u)
 
 
-def test_rejects_bad_blend():
-    with pytest.raises(ModelConstructionError):
-        build_scalar_model(lambda u: np.asarray(u, float),
-                           lambda u: np.asarray(u, float),
-                           lambda u: u, lambda u: u,
-                           blend=lambda v: np.asarray(v, float))
-
-
 def test_rejects_nonpositive_viscosity():
     with pytest.raises(ModelConstructionError):
         build_scalar_model(lambda u: np.asarray(u, float),
@@ -142,6 +134,27 @@ def test_model_from_config_polynomial_scalar():
     assert isinstance(model, ScalarCouplingModel)
     us = np.linspace(-0.9, 0.9, 7)
     np.testing.assert_allclose(model.lam(us, 0.0), us, atol=1e-6)
+
+
+def test_polynomial_config_model_has_closed_form_coefficients():
+    # gamma = u + 0.2 u^3 and f = w^2 / 2 on the minus side, so at v = -1
+    # A0 = gamma' = 1 + 0.6 u^2 and A1 = f'(gamma) gamma' = gamma gamma'
+    cfg = {"kind": "scalar",
+           "gamma_minus": [0.0, 1.0, 0.0, 0.2], "gamma_plus": [0.0, 1.0],
+           "f_minus": [0.0, 0.0, 0.5], "f_plus": [0.0, 0.0, 0.5]}
+    model = model_from_config(cfg)
+    u = np.linspace(-1.5, 1.5, 31)
+    gamma, d_gamma = u + 0.2 * u ** 3, 1.0 + 0.6 * u ** 2
+    for v, a0, a1 in ((-1.0, d_gamma, gamma * d_gamma), (1.0, 1.0, u),
+                      (0.0, 0.5 * (d_gamma + 1.0), 0.5 * (gamma * d_gamma + u))):
+        np.testing.assert_allclose(model.A0(u, v), a0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.A1(u, v), a1, rtol=0, atol=1e-13)
+    # p-system: the (2, 1) entry of A1 is p'(tau) at the endpoints
+    psys = model_from_config({"kind": "p-system", "p_minus": [3.0, -1.0],
+                              "p_plus": [3.0, -1.0, 0.1]})
+    U = psys.ball_samples(8)
+    for v, dp in ((-1.0, -1.0), (1.0, -1.0 + 0.2 * U[:, 0])):
+        np.testing.assert_allclose(psys.A1(U, v)[:, 1, 0], dp, rtol=0, atol=1e-13)
 
 
 def test_model_from_config_table():

@@ -129,7 +129,7 @@ def test_coincident_speeds_raise_typed_error():
 
     model = SystemCouplingModel(
         N=2, A0=ident, A1=lambda u, v: np.zeros(np.shape(u)[:-1] + (2, 2)),
-        B0=ident, m=1, delta0=0.1, lam_low=np.zeros(2), lam_high=np.zeros(2),
+        B0=ident, delta0=0.1, lam_low=np.zeros(2), lam_high=np.zeros(2),
         eta=0.0, nu=0.0, M=1.0, u_ref=np.zeros(2))
     U = np.array([[0.01, 0.0], [0.0, 0.02]])
     v, xi = np.array([0.3, -0.2]), np.array([0.5, 0.1])
