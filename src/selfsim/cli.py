@@ -287,13 +287,11 @@ def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     return ["solution.csv", "diagnostics.json"], ok
 
 
-def _cmd_solve_system(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
-    model = _build_model(cfg)
-    if not isinstance(model, SystemCouplingModel):
-        raise ConfigError("solve-system requires a system model")
-    if cfg.uL is None or cfg.uR is None:
-        raise ConfigError("solve-system requires --uL and --uR")
-    eps = _single_eps(cfg)
+def _solve_system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
+                       path: Path) -> tuple[dict, bool]:
+    """One system solve at ``eps``: writes the profile CSV to ``path`` and
+    returns the diagnostics record and whether it passes the acceptance
+    checks."""
     sys_cfg = SystemSolveConfig(eps=eps, p=cfg.p, M=cfg.M, grid_size=cfg.grid)
     uL = np.atleast_1d(np.asarray(cfg.uL, dtype=float))
     uR = np.atleast_1d(np.asarray(cfg.uR, dtype=float))
@@ -303,9 +301,9 @@ def _cmd_solve_system(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     cols += [state.v.values] + [state.a[:, i] for i in range(N)]
     header = (["xi"] + [f"u_{i + 1}" for i in range(N)] + ["v"]
               + [f"a_{i + 1}" for i in range(N)])
-    write_csv(out / "solution.csv", header, cols)
+    write_csv(path, header, cols)
     jump = float(np.linalg.norm(uR - uL))
-    write_json(out / "diagnostics.json", {
+    record = {
         "eps": state.eps, "tau": state.tau,
         "weighted_norm_theta": state.weighted_norm_theta,
         "contraction_estimates": state.contraction_estimates,
@@ -315,9 +313,20 @@ def _cmd_solve_system(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         "boundary_residual": state.boundary_residual,
         "outer_iterations": state.outer_iterations,
         "beta": state.beta, "envelope_constant": state.envelope_constant,
-    })
+    }
     ok = (state.boundary_residual <= 1e-6
           and all(a < 1.0 for a in state.contraction_estimates))
+    return record, ok
+
+
+def _cmd_solve_system(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
+    model = _build_model(cfg)
+    if not isinstance(model, SystemCouplingModel):
+        raise ConfigError("solve-system requires a system model")
+    if cfg.uL is None or cfg.uR is None:
+        raise ConfigError("solve-system requires --uL and --uR")
+    record, ok = _solve_system_rung(cfg, model, _single_eps(cfg), out / "solution.csv")
+    write_json(out / "diagnostics.json", record)
     return ["solution.csv", "diagnostics.json"], ok
 
 
@@ -424,13 +433,31 @@ def _run_ladder(cfg: RunConfig, model: ScalarCouplingModel,
     return report, solutions
 
 
+def _system_continuation(cfg: RunConfig, model: SystemCouplingModel,
+                         ladder: list[float], out: Path) -> tuple[list[str], bool]:
+    """One ``solve-system`` per rung; each record is that rung's
+    diagnostics."""
+    outputs, records, ok = [], [], True
+    for eps in ladder:
+        name = f"solution_eps{_eps_tag(eps)}.csv"
+        try:
+            record, rung_ok = _solve_system_rung(cfg, model, eps, out / name)
+        except Exception as exc:
+            raise RuntimeError(f"rung eps={eps:g}: {type(exc).__name__}: {exc}") from exc
+        outputs.append(name)
+        records.append(record)
+        ok = ok and rung_ok
+    write_json(out / "continuation.json", {"eps_ladder": ladder, "records": records})
+    return outputs + ["continuation.json"], ok
+
+
 def _cmd_continuation(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     model = _build_model(cfg)
-    if not isinstance(model, ScalarCouplingModel):
-        raise ConfigError("continuation requires a scalar model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError("continuation requires --uL and --uR")
     ladder = _eps_list(cfg, need_ladder=True)
+    if isinstance(model, SystemCouplingModel):
+        return _system_continuation(cfg, model, ladder, out)
     report, solutions = _run_ladder(cfg, model, ladder)
 
     outputs = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .models import ModelConstructionError, SystemCouplingModel
+from .models import SystemCouplingModel
 
 
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
@@ -62,18 +62,21 @@ def _signs(dots: np.ndarray) -> np.ndarray:
     return s
 
 
-def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real sorted eigenvalues of A with unit right eigenvectors (rows) and
-    left covectors (rows) normalized so that l_i . r_j = delta_ij."""
+def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted eigenvalues of the stacked matrices A (..., N, N) with unit
+    right eigenvectors (rows) and left covectors (rows) normalized so that
+    l_i . r_j = delta_ij, and the mask (...,) of matrices whose spectrum is
+    real.  Where it is not, the eigenvalues are the real parts and the
+    vectors are those of the identity."""
     w, V = np.linalg.eig(np.asarray(A, dtype=float))
-    if np.max(np.abs(w.imag)) > 1e-9 * max(1.0, np.max(np.abs(w.real))):
-        raise ModelConstructionError("complex eigenvalues: loss of hyperbolicity")
-    order = np.argsort(w.real)
-    V = V[:, order].real
-    V = V / np.linalg.norm(V, axis=0, keepdims=True)
-    V = _fix_signs(V)
-    L = np.linalg.inv(V)
-    return w.real[order], V.T, L
+    real = np.max(np.abs(w.imag), axis=-1) <= 1e-9 * np.maximum(
+        1.0, np.max(np.abs(w.real), axis=-1))
+    V = np.where(real[..., None, None], V.real, np.eye(V.shape[-1]))
+    order = np.argsort(w.real, axis=-1)
+    V = np.take_along_axis(V, order[..., None, :], axis=-1)
+    V = _fix_signs(V / np.linalg.norm(V, axis=-2, keepdims=True))
+    return (np.take_along_axis(w.real, order, axis=-1), np.swapaxes(V, -1, -2),
+            np.linalg.inv(V), real)
 
 
 def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:

@@ -249,12 +249,12 @@ def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
 
 
 def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                   u_left: np.ndarray, u_right: np.ndarray,
+                   Ct: np.ndarray, u_left: np.ndarray, u_right: np.ndarray,
                    eta: float, nu: float, A: float, delta: float,
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Newton iteration (frozen Jacobian = strength matrix) on the boundary
-    condition u(M) = u_R; returns (tau, theta, info)."""
-    Ct, _ = strength_matrix(measures, coeffs, weight_A0_inv=True)
+    """Newton iteration on the boundary condition u(M) = u_R, with the
+    frozen Jacobian ``Ct``, the A0^{-1}-weighted strength matrix; returns
+    (tau, theta, info)."""
     Ct_inv = np.linalg.inv(Ct)
     jump = u_right - u_left
 
@@ -342,12 +342,12 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     for outer in range(1, OUTER_MAX_ITERS + 1):
         coeffs = assemble_coefficients(model, U, v, xi, psi)
         measures = build_measures(model, coeffs, config.eps)
+        Ct, _ = strength_matrix(measures, coeffs, weight_A0_inv=True)
         if outer == 1:
             # the envelope constant is fitted once, on the first iterate
-            Ct, _ = strength_matrix(measures, coeffs, weight_A0_inv=True)
             tau0 = np.linalg.solve(Ct, u_right - u_left)
             A = fit_envelope_constant(measures, coeffs, tau0, eta, nu)
-        tau, theta, info = solve_strength(measures, coeffs, u_left, u_right,
+        tau, theta, info = solve_strength(measures, coeffs, Ct, u_left, u_right,
                                           eta, nu, A, delta)
         alphas.extend(info["correction_alphas"])
         a = tau[None, :] * measures.phi + theta

@@ -192,6 +192,38 @@ def test_continuation_artifacts(tmp_path):
     assert (out / "l1_distances.csv").exists()
 
 
+def test_system_continuation_is_solve_system_per_rung(tmp_path):
+    data = ["--model", "p-system", "--uL", "1.249,0.0", "--uR", "1.251,0.0"]
+    code, out = _run(tmp_path / "ladder", "continuation", *data,
+                     "--eps-ladder", "0.1,0.05", "--strict")
+    assert code == 0
+    report = json.loads((out / "continuation.json").read_text())
+    assert report["eps_ladder"] == [0.1, 0.05]
+    assert len(report["records"]) == 2
+    assert sorted(_manifest(out)["outputs"]) == [
+        "continuation.json", "solution_eps0p05.csv", "solution_eps0p1.csv"]
+    for eps, record in zip(("0.1", "0.05"), report["records"]):
+        code, single = _run(tmp_path / eps, "solve-system", *data, "--eps", eps)
+        assert code == 0
+        tag = eps.replace(".", "p")
+        assert ((out / f"solution_eps{tag}.csv").read_bytes()
+                == (single / "solution.csv").read_bytes())
+        diag = json.loads((single / "diagnostics.json").read_text())
+        diag.pop("schema_version")
+        assert record == diag
+
+
+def test_system_continuation_names_the_failed_rung(tmp_path, capsys):
+    # a tau jump of 0.1, over five admissible radii: the first rung raises
+    code, out = _run(tmp_path, "continuation", "--model", "p-system",
+                     "--uL", "1.2,0.0", "--uR", "1.3,0.0", "--eps-ladder", "0.1,0.05")
+    assert code == 1
+    assert _manifest(out)["complete"] is False
+    err = capsys.readouterr().err
+    assert "RuntimeError: rung eps=0.1: SmallnessViolation" in err
+    assert "admissible radius" in err
+
+
 def test_continuation_requires_ladder(tmp_path, capsys):
     code, _ = _run(tmp_path, "continuation", "--eps", "0.1",
                    "--uL", "1.0", "--uR", "0.0")
@@ -204,6 +236,21 @@ def test_trace_report_artifacts(tmp_path):
     assert code == 0
     report = json.loads((out / "trace_report.json").read_text())
     assert "trace_minus" in report and "trace_plus" in report
+
+
+def test_trace_report_resonant_stationary_shock(tmp_path):
+    # the shock (1, -1) sits on the interface speed 0: the one-sided traces
+    # are the Riemann data and both weak interface conditions hold
+    code, out = _run(tmp_path, "trace-report", "--model", "burgers-identical",
+                     "--eps-ladder", "0.05,0.025,0.0125", "--uL", "1.0", "--uR", "-1.0",
+                     "--strict")
+    assert code == 0
+    report = json.loads((out / "trace_report.json").read_text())
+    assert report["resonant"] is True
+    assert report["trace_minus"] == pytest.approx(1.0, abs=1e-6)
+    assert report["trace_plus"] == pytest.approx(-1.0, abs=1e-6)
+    assert report["weak_condition_minus"] is True
+    assert report["weak_condition_plus"] is True
 
 
 def test_trace_report_records_truncated_windows(tmp_path):

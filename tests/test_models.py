@@ -74,6 +74,30 @@ def test_validate_hypotheses_is_deterministic(p_system):
     assert a == b
 
 
+def test_validate_hypotheses_reports_complex_eigenvalues():
+    # A = [[0, -1], [c, 0]] has eigenvalues +-sqrt(-c): complex where the
+    # state's first component exceeds 1, on part of the ball
+    def A1(u, v):
+        c = np.asarray(u, dtype=float)[..., 0] - 1.0 + 0.0 * np.asarray(v, dtype=float)
+        out = np.zeros(np.shape(c) + (2, 2))
+        out[..., 0, 1] = -1.0
+        out[..., 1, 0] = c
+        return out
+
+    def eye(u, v):
+        return np.broadcast_to(np.eye(2), np.shape(u)[:-1] + (2, 2))
+
+    model = SystemCouplingModel(
+        N=2, A0=eye, A1=A1, B0=eye, delta0=0.4,
+        lam_low=np.array([-1.0, 0.1]), lam_high=np.array([-0.1, 1.0]),
+        eta=0.0, nu=0.0, M=1.5, u_ref=np.array([1.0, 0.0]), name="complex")
+    report = validate_hypotheses(model)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["real separated eigenvalues"]["passed"] is False
+    assert checks["|B - I| <= eta"]["passed"] is True
+    assert report["passed"] is False
+
+
 def test_p_system_speed_bands(p_system):
     # c = sqrt(-pbar') with pbar' in [-k_plus, -k_minus]/tau^2 over the blend:
     # bands must straddle the reference sound speed and stay disjoint

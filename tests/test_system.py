@@ -246,6 +246,24 @@ def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
     assert calls == [n]
 
 
+def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypatch):
+    # one A0^-1-weighted matrix per outer iteration, shared by the envelope
+    # fit and the strength Newton, plus the unweighted one for beta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("weight_A0_inv", False))
+        return strength_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(selfsim.system, "strength_matrix", counted)
+    jump = 0.01 * p_system.delta0
+    state = solve_system(p_system, SystemSolveConfig(eps=EPS),
+                         p_system.u_ref - np.array([jump / 2.0, 0.0]),
+                         p_system.u_ref + np.array([jump / 2.0, 0.0]))
+    assert state.outer_iterations == 3
+    assert calls == [True] * 3 + [False]
+
+
 def test_nan_source_is_rejected_by_correction_map(p_system):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
