@@ -208,13 +208,11 @@ def _config_hash(cfg: RunConfig) -> str:
 
 def emit_manifest(out: Path, cfg: RunConfig, outputs: list[str],
                   wall_time: float, complete: bool = True) -> None:
-    import scipy
     write_json(out / "manifest.json", {
         "command": cfg.command,
         "config": cfg.echo(),
         "config_sha256": _config_hash(cfg),
-        "versions": {"selfsim": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"selfsim": __version__, "numpy": np.__version__},
         "wall_time_s": wall_time,
         "complete": complete,
         "outputs": sorted(outputs),

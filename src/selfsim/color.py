@@ -5,14 +5,29 @@ self-similar heat equation exactly, rising from -1 to +1 across a Gaussian
 layer of thickness eps^(p/2). Normalization is taken over the solve window
 [-M, M] (so v(+-M) = +-1 exactly); the discrepancy against the whole-line
 normalization is of size exp(-M^2 / 2 eps^p).
+
+erf and erfc come from the standard library's ``math`` module. ``math.erf``
+is monotone and equals +-1 exactly for |x| >= 6, so arrays call it only
+below that and take sgn(x) elsewhere, with the same result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, erfc
+
+ERF_SATURATION = 6.0  # math.erf(x) == sgn(x) for |x| >= ERF_SATURATION
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``math.erf`` elementwise."""
+    flat = x.ravel()
+    out = np.sign(flat)
+    inner = np.abs(flat) < ERF_SATURATION
+    out[inner] = [math.erf(t) for t in flat[inner].tolist()]
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -26,7 +41,7 @@ class ColorProfile:
         if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p, self.M)):
             raise ValueError("eps, p and M must be positive finite numbers")
         a = self._scale()
-        norm = a * np.sqrt(np.pi) * erf(self.M / a)
+        norm = a * np.sqrt(np.pi) * math.erf(self.M / a)
         object.__setattr__(self, "normalization", float(norm))
 
     def _scale(self) -> float:
@@ -36,7 +51,8 @@ class ColorProfile:
     def evaluate_v(self, xi):
         """Color value in [-1, 1]; odd, strictly increasing, v(+-M) = +-1."""
         a = self._scale()
-        return np.clip(erf(np.asarray(xi, dtype=float) / a) / erf(self.M / a), -1.0, 1.0)
+        x = np.asarray(xi, dtype=float) / a
+        return np.clip(_erf(x) / math.erf(self.M / a), -1.0, 1.0)
 
     def evaluate_psi(self, xi):
         """psi = dv/dxi = 2 exp(-xi^2 / 2 eps^p) / normalization >= 0."""
@@ -52,4 +68,4 @@ class ColorProfile:
             raise ValueError("require 0 <= c <= M")
         a = self._scale()
         # 1 - v(c) = (erfc(c/a) - erfc(M/a)) / erf(M/a)
-        return float((erfc(c / a) - erfc(self.M / a)) / erf(self.M / a))
+        return float((math.erfc(c / a) - math.erfc(self.M / a)) / math.erf(self.M / a))

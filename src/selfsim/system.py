@@ -222,10 +222,9 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
 
 
 def strength_matrix(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                    weight_A0_inv: bool = False) -> tuple[np.ndarray, float]:
+                    weight_A0_inv: bool = False) -> np.ndarray:
     """Matrix with k-th column int phi*_k r_hat_k dxi (optionally with the
-    A0^{-1} weight used by the boundary-matching Newton update); returns the
-    matrix and the norm beta of its inverse."""
+    A0^{-1} weight used by the boundary-matching Newton update)."""
     N = measures.N
     C = np.empty((N, N))
     for k in range(N):
@@ -236,8 +235,7 @@ def strength_matrix(measures: WaveMeasureSet, coeffs: CoefficientFields,
     if abs(np.linalg.det(C)) < 1e-12:
         raise SmallnessViolation("strength matrix singular to tolerance; "
                                  "band separation insufficient")
-    beta = float(np.linalg.norm(np.linalg.inv(C), 2))
-    return C, beta
+    return C
 
 
 def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
@@ -342,7 +340,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     for outer in range(1, OUTER_MAX_ITERS + 1):
         coeffs = assemble_coefficients(model, U, v, xi, psi)
         measures = build_measures(model, coeffs, config.eps)
-        Ct, _ = strength_matrix(measures, coeffs, weight_A0_inv=True)
+        Ct = strength_matrix(measures, coeffs, weight_A0_inv=True)
         if outer == 1:
             # the envelope constant is fitted once, on the first iterate
             tau0 = np.linalg.solve(Ct, u_right - u_left)
@@ -368,7 +366,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
 
     u_fn = GridFunction(xi, U)
     du = np.gradient(U, xi, axis=0)
-    _, beta = strength_matrix(measures, coeffs)
+    beta = float(np.linalg.norm(np.linalg.inv(strength_matrix(measures, coeffs)), 2))
     return SystemSolveState(
         u=u_fn, v=GridFunction(xi, v),
         tau=tau, theta=theta, a=a,

@@ -1,11 +1,16 @@
 """Command-line interface: config handling, artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfsim
 from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, write_csv
 from selfsim.diagnostics import TraceWindowError
 
@@ -119,6 +124,28 @@ def test_strict_mode_passes_on_good_run(tmp_path):
     assert _manifest(out)["complete"] is True
 
 
+def test_runtime_loads_no_scipy(tmp_path):
+    # a fresh interpreter: this one has imported scipy for the test oracles
+    src = Path(selfsim.__file__).resolve().parents[1]
+    code = textwrap.dedent(f"""
+        import sys
+        import selfsim, selfsim.cli
+        from selfsim.cli import main
+        assert main(["continuation", "--model", "burgers-identical",
+                     "--eps-ladder", "0.1,0.05", "--uL", "1.0", "--uR", "0.0",
+                     "--out", {str(tmp_path / "scalar")!r}]) == 0
+        assert main(["solve-system", "--model", "p-system", "--eps", "0.1",
+                     "--uL", "1.249,0.0", "--uR", "1.251,0.0",
+                     "--out", {str(tmp_path / "system")!r}]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "scalar" / "solution_eps0p05.csv").exists()
+    assert (tmp_path / "system" / "solution.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifacts per subcommand
 
@@ -134,6 +161,7 @@ def test_solve_scalar_artifacts(tmp_path):
     header = (out / "solution.csv").read_text().splitlines()[0]
     assert header == "xi,u,v,h"
     assert sorted(_manifest(out)["outputs"]) == ["diagnostics.json", "solution.csv"]
+    assert sorted(_manifest(out)["versions"]) == ["numpy", "selfsim"]
 
 
 def test_solve_system_artifacts(tmp_path):

@@ -1,17 +1,11 @@
 """Grid containers and log-space quadrature against plain-float oracles."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import selfsim
 from selfsim.grid import GridFunction, default_grid_size, uniform_grid
 from selfsim.quadrature import log_cumtrapz_from, log_of, log_trapz, weighted_transfer
 
@@ -48,17 +42,6 @@ def test_cumtrapz_bit_identical_to_scipy(shape, uniform):
     got = GridFunction(xi, vals).cumtrapz().values
     assert got.shape == vals.shape
     assert np.array_equal(got, cumulative_trapezoid(vals, xi, axis=0, initial=0))
-
-
-def test_import_does_not_load_scipy_integrate_or_optimize():
-    # a fresh interpreter: this one may have imported scipy.integrate already
-    src = Path(selfsim.__file__).resolve().parents[1]
-    code = ("import sys, selfsim, selfsim.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
 
 
 def test_vector_values_tv_uses_euclidean_jumps():

@@ -264,6 +264,26 @@ def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypa
     assert calls == [True] * 3 + [False]
 
 
+def test_solve_takes_one_strength_2_norm(p_system, monkeypatch):
+    # matrix 2-norms: |A0(u_ref)| for the admissible radius, and beta once,
+    # for the returned state (not once per outer iteration)
+    norm = np.linalg.norm
+    calls = []
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    jump = 0.01 * p_system.delta0
+    state = solve_system(p_system, SystemSolveConfig(eps=EPS),
+                         p_system.u_ref - np.array([jump / 2.0, 0.0]),
+                         p_system.u_ref + np.array([jump / 2.0, 0.0]))
+    assert state.outer_iterations == 3
+    assert calls == [(2, 2)] * 2
+
+
 def test_nan_source_is_rejected_by_correction_map(p_system):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
@@ -292,9 +312,9 @@ def test_zero_correction_is_fixed_point_at_zero_strength(p_system):
 
 
 def test_strength_matrix_invertible(p_state):
-    C, beta = strength_matrix(p_state.measures, p_state.coefficients)
+    C = strength_matrix(p_state.measures, p_state.coefficients)
     assert C.shape == (2, 2)
-    assert beta > 0
+    assert p_state.beta == np.linalg.norm(np.linalg.inv(C), 2) > 0
     assert np.isfinite(np.linalg.cond(C))
 
 
