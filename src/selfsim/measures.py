@@ -145,25 +145,22 @@ def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
     return TransferResult(GridFunction(xi, a), rel)
 
 
-def compute_J(measures: WaveMeasureSet, j: int, i: int,
-              c_index: int | None = None) -> TransferResult:
+def compute_J(measures: WaveMeasureSet, j: int, i: int) -> TransferResult:
     """Linear coefficient J_{j->i}; indices are 0-based families."""
-    anchor = int(measures.c_index[i]) if c_index is None else int(c_index)
+    anchor = int(measures.c_index[i])
     return _dual_transfer(measures, measures.log_phi[:, j], i, anchor)
 
 
-def compute_F(measures: WaveMeasureSet, j: int, k: int, i: int,
-              c_index: int | None = None) -> TransferResult:
+def compute_F(measures: WaveMeasureSet, j: int, k: int, i: int) -> TransferResult:
     """Quadratic coefficient F_{j,k->i}."""
-    anchor = int(measures.c_index[i]) if c_index is None else int(c_index)
+    anchor = int(measures.c_index[i])
     log_source = measures.log_phi[:, j] + measures.log_phi[:, k]
     return _dual_transfer(measures, log_source, i, anchor)
 
 
-def compute_J_psi(measures: WaveMeasureSet, psi: np.ndarray, j: int, i: int,
-                  c_index: int | None = None) -> TransferResult:
+def compute_J_psi(measures: WaveMeasureSet, psi: np.ndarray, j: int, i: int) -> TransferResult:
     """Color-coupled coefficient J^psi_{j->i} for a nonnegative weight psi."""
-    anchor = int(measures.c_index[i]) if c_index is None else int(c_index)
+    anchor = int(measures.c_index[i])
     log_source = log_of(psi) + measures.log_phi[:, j]
     return _dual_transfer(measures, log_source, i, anchor)
 

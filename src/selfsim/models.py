@@ -68,6 +68,13 @@ class ScalarCouplingModel:
         return bool(np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12))
 
 
+def _lipschitz(f2d: np.ndarray, us: np.ndarray, vs: np.ndarray) -> float:
+    """Largest sampled |partial derivative| of f on the (us x vs) grid."""
+    gu = np.abs(np.gradient(f2d, us[1] - us[0], axis=0)).max()
+    gv = np.abs(np.gradient(f2d, vs[1] - vs[0], axis=1)).max()
+    return float(max(gu, gv))
+
+
 def build_scalar_model(
     gamma_minus: Callable,
     gamma_plus: Callable,
@@ -121,20 +128,12 @@ def build_scalar_model(
     if np.any(b0 <= 0):
         raise ModelConstructionError("sampled B0 violates positivity")
 
-    du = us[1] - us[0]
-    dv = vs[1] - vs[0]
-
-    def lipschitz(f2d):
-        gu = np.abs(np.gradient(f2d, du, axis=0)).max()
-        gv = np.abs(np.gradient(f2d, dv, axis=1)).max()
-        return float(max(gu, gv))
-
     return ScalarCouplingModel(
         A0=A0, A1=A1, B0=B0,
         gamma_minus=gamma_minus, gamma_plus=gamma_plus,
         f_minus=f_minus, f_plus=f_plus,
         c1=float(a0.min()), c2=float(b0.min()), c3=float(b0.max()),
-        omega0=lipschitz(a0), omega1=lipschitz(a1),
+        omega0=_lipschitz(a0, us, vs), omega1=_lipschitz(a1, us, vs),
         Lambda=float(np.abs(a1 / a0).max()),
         u_domain=(float(u_domain[0]), float(u_domain[1])),
         name=name,
@@ -155,8 +154,10 @@ class SystemCouplingModel:
     """Small-system coupling model.
 
     ``A0``, ``A1`` and ``B0`` take states u of shape (..., N) and colors v
-    that broadcast to the leading shape, and return matrices (..., N, N);
-    ``A`` and ``B`` inherit the same stacked contract.
+    that broadcast to the leading shape, and return matrices (..., N, N).
+    ``pencil`` forms the matrices of the self-similar pencil
+    (-xi I + A, B), A = A1 A0^-1 and B = B0 A0^-1, under the same stacked
+    contract; it is the one place where A0 is inverted.
     """
 
     N: int
@@ -172,11 +173,12 @@ class SystemCouplingModel:
     u_ref: np.ndarray
     name: str = "system"
 
-    def A(self, u, v) -> np.ndarray:
-        return np.asarray(self.A1(u, v)) @ np.linalg.inv(np.asarray(self.A0(u, v)))
-
-    def B(self, u, v) -> np.ndarray:
-        return np.asarray(self.B0(u, v)) @ np.linalg.inv(np.asarray(self.A0(u, v)))
+    def pencil(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, A0^-1) at the stacked points, with A = A1 A0^-1 and
+        B = B0 A0^-1 sharing one evaluation and one inversion of A0."""
+        A0_inv = np.linalg.inv(np.asarray(self.A0(u, v), dtype=float))
+        return (np.asarray(self.A1(u, v)) @ A0_inv,
+                np.asarray(self.B0(u, v)) @ A0_inv, A0_inv)
 
     def in_ball(self, u, slack: float = 1e-9) -> bool:
         """True if every stacked state u (..., N) lies in the state ball."""
@@ -295,7 +297,6 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
     vs = np.linspace(-1.0, 1.0, 64)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
     lam = np.asarray(model.lam(UU, VV), dtype=float)
-    B = np.asarray(model.B0(UU, VV), dtype=float) / np.asarray(model.A0(UU, VV), dtype=float)
 
     sys_model = SystemCouplingModel(
         N=1,
@@ -303,7 +304,7 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
         delta0=float(delta0),
         lam_low=np.array([lam.min() - 1e-9]),
         lam_high=np.array([lam.max() + 1e-9]),
-        eta=float(np.abs(B - 1.0).max()), nu=0.0,
+        eta=0.0, nu=0.0,
         M=float(max(abs(lam.min()), abs(lam.max())) + 1.0),
         u_ref=np.array([float(u_center)]),
         name=model.name + "-as-system",
@@ -341,7 +342,8 @@ def _validate_scalar(model: ScalarCouplingModel, n: int) -> list[dict]:
     UU, VV = np.meshgrid(us, vs, indexing="ij")
     a0 = np.asarray(model.A0(UU, VV), dtype=float)
     b0 = np.asarray(model.B0(UU, VV), dtype=float)
-    lam = np.abs(np.asarray(model.A1(UU, VV), dtype=float) / a0)
+    a1 = np.asarray(model.A1(UU, VV), dtype=float)
+    lam = np.abs(a1 / a0)
 
     dgm = finite_difference(model.gamma_minus)
     dgp = finite_difference(model.gamma_plus)
@@ -354,10 +356,7 @@ def _validate_scalar(model: ScalarCouplingModel, n: int) -> list[dict]:
         np.abs(np.asarray(model.A1(us, 1.0)) - dfp(model.gamma_plus(us)) * dgp(us)).max(),
     )
 
-    du, dv = us[1] - us[0], vs[1] - vs[0]
-    a1 = np.asarray(model.A1(UU, VV), dtype=float)
-    lip0 = max(np.abs(np.gradient(a0, du, axis=0)).max(), np.abs(np.gradient(a0, dv, axis=1)).max())
-    lip1 = max(np.abs(np.gradient(a1, du, axis=0)).max(), np.abs(np.gradient(a1, dv, axis=1)).max())
+    lip0, lip1 = _lipschitz(a0, us, vs), _lipschitz(a1, us, vs)
 
     return [
         _check("A0 >= c1 > 0", a0.min(), a0.min() >= model.c1 - 1e-12 and model.c1 > 0),
@@ -380,8 +379,8 @@ def _near_orthogonality(model: SystemCouplingModel, n: int, seed: int,
     pts = model.ball_samples(n)
     pair_idx = rng.integers(0, len(pts), size=(min(32, n), 2))
     v = rng.uniform(-1.0, 1.0, size=len(pair_idx))
-    _, _, l1, real1 = eig_decomposition(model.A(pts[pair_idx[:, 0]], v))
-    _, r2, _, real2 = eig_decomposition(model.A(pts[pair_idx[:, 1]], v))
+    _, _, l1, real1 = eig_decomposition(model.pencil(pts[pair_idx[:, 0]], v)[0])
+    _, r2, _, real2 = eig_decomposition(model.pencil(pts[pair_idx[:, 1]], v)[0])
     cross = (l1 @ np.swapaxes(r2, -1, -2))[real1 & real2]
     off = np.where(np.eye(model.N, dtype=bool), 0.0, cross)
     return (float(np.diagonal(cross, axis1=-2, axis2=-1).min(initial=1.0)),
@@ -396,12 +395,13 @@ def _validate_system(model: SystemCouplingModel, n: int, seed: int) -> list[dict
     U = np.repeat(model.ball_samples(n), len(vs), axis=0)
     V = np.tile(vs, n)
     min_det = np.abs(np.linalg.det(np.asarray(model.A0(U, V), dtype=float))).min()
-    lam, _, _, real = eig_decomposition(model.A(U, V))
+    A, B, _ = model.pencil(U, V)
+    lam, _, _, real = eig_decomposition(A)
     hyperbolic = bool(real.all())
     dev = np.maximum(model.lam_low - lam, lam - model.lam_high).max(axis=-1)[real]
     worst_band = dev.max(initial=0.0)
     band_ok = bool(np.all(dev <= 1e-9))
-    B_dev = (model.B(U, V) - np.eye(model.N))[real]
+    B_dev = (B - np.eye(model.N))[real]
     max_bnorm = np.linalg.norm(B_dev, 2, axis=(-2, -1)).max(initial=0.0)
 
     gaps = model.lam_low[1:] - model.lam_high[:-1] if model.N > 1 else np.array([np.inf])

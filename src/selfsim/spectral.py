@@ -90,8 +90,7 @@ def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:
     U = np.asarray(U, dtype=float).reshape(-1, model.N)
     v = np.asarray(v, dtype=float).reshape(-1)
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    A = model.A(U, v)
-    B = model.B(U, v)
+    A, B, _ = model.pencil(U, v)
     shifted = -xi[:, None, None] * np.eye(model.N) + A
     w, V = np.linalg.eig(np.linalg.solve(B, shifted))
     bad = np.max(np.abs(w.imag), axis=1) > 1e-9 * np.maximum(
@@ -144,12 +143,12 @@ def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
 def matrix_derivatives(model: SystemCouplingModel, U, v, steps) -> tuple[np.ndarray, np.ndarray]:
     """Central differences (dA, dB), shape (m, n, N, N), of the pencil
     matrices at the n points (U, v), each along a row of ``steps`` (m, N + 1),
-    a step in (u, v), per unit length; one stacked A and B call, no eigensolve."""
+    a step in (u, v), per unit length; one stacked pencil call, no eigensolve."""
     steps = np.asarray(steps, dtype=float)[:, None, :]
     pts = np.column_stack([U, v])
     shifted = np.concatenate([pts + steps, pts - steps]).reshape(-1, model.N + 1)
     shape = (2, len(steps), len(pts), model.N, model.N)
-    A, B = (f(shifted[:, :-1], shifted[:, -1]).reshape(shape) for f in (model.A, model.B))
+    A, B = (m.reshape(shape) for m in model.pencil(shifted[:, :-1], shifted[:, -1])[:2])
     h = 2.0 * np.linalg.norm(steps, axis=-1)[..., None, None]
     return (A[0] - A[1]) / h, (B[0] - B[1]) / h
 
@@ -171,7 +170,7 @@ def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24) -> tuple
     # the (state, color, xi) sample grid, flattened in that order
     i, j, k = np.indices((len(pts), len(vs), len(xis))).reshape(3, -1)
     U, v, xi = pts[i], vs[j], xis[k]
-    B = model.B(U, v)
+    _, B, _ = model.pencil(U, v)
     eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
     base = eigen_fields(model, U, v, xi)
     dA, dB = matrix_derivatives(model, U, v, MATRIX_STEP * np.eye(model.N + 1)[-1:])

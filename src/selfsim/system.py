@@ -115,8 +115,7 @@ def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
 
     base = eigen_fields(model, U, v, xi)
     L, R = base.l_hat, np.swapaxes(base.r_hat, 1, 2)  # R: columns r_hat_j
-    B = model.B(U, v)
-    A0_inv = np.linalg.inv(np.asarray(model.A0(U, v), dtype=float))
+    _, B, A0_inv = model.pencil(U, v)
 
     # pencil derivatives along xi (dK = -I, dB = 0), the N states and the
     # color, stacked on a leading direction axis
@@ -142,8 +141,7 @@ def build_measures(model: SystemCouplingModel, coeffs: CoefficientFields,
 
 def weighted_norm(theta: np.ndarray, measures: WaveMeasureSet) -> float:
     """E-norm: sum over families of sup |theta_k| / sum_h phi*_h."""
-    denom = np.maximum(measures.phi_sum(), PHI_SUM_FLOOR)
-    return float(np.sum(np.max(np.abs(theta) / denom[:, None], axis=0)))
+    return float(np.sum(np.max(envelope_ratio(theta, measures), axis=0)))
 
 
 def envelope_bound(tau: np.ndarray, eta: float, nu: float, A: float) -> float:

@@ -98,14 +98,15 @@ def test_dual_organizations_agree_on_stiff_problem():
     # the default anchor c_i is the minimizer rho_i on this fixture; anchors
     # moved off it make the two organizations take different paths
     m = _measures(eps=0.0125, n=12800)
-    for shift in (None, -0.05, 0.05, 0.3):
-        for (j, i) in ((0, 1), (1, 0), (0, 0), (1, 1)):
-            c_index = None
-            if shift is not None:
-                c_index = int(np.argmin(np.abs(m.xi - (m.rho[i] + shift))))
-                assert c_index != m.rho_index[i]
-            assert compute_J(m, j, i, c_index).crosscheck < 1e-6
-            assert compute_F(m, j, j, i, c_index).crosscheck < 1e-6
+    for (j, i) in ((0, 1), (1, 0), (0, 0), (1, 1)):
+        assert compute_J(m, j, i).crosscheck < 1e-6
+        assert compute_F(m, j, j, i).crosscheck < 1e-6
+        for shift in (-0.05, 0.05, 0.3):
+            anchor = int(np.argmin(np.abs(m.xi - (m.rho[i] + shift))))
+            assert anchor != m.rho_index[i]
+            # the sources of J_{j->i} and F_{j,j->i}
+            for log_source in (m.log_phi[:, j], m.log_phi[:, j] + m.log_phi[:, j]):
+                assert measures_module._dual_transfer(m, log_source, i, anchor).crosscheck < 1e-6
 
 
 def _transfer_via_rho_pointwise(log_source, log_phi_i, xi, anchor, rho_idx):

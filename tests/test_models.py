@@ -1,5 +1,7 @@
 """Model construction, endpoint pinning, presets, and hypothesis validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,8 @@ def test_p_system_speed_bands(p_system):
 def test_p_system_eigenvalues_match_closed_form(p_system):
     # A(u, v) has eigenvalues +-sqrt(-pbar'(tau, v))
     tau, v = 1.3, 0.4
-    lam = np.sort(np.linalg.eigvals(p_system.A(np.array([tau, 0.0]), v)).real)
+    A, _, _ = p_system.pencil(np.array([tau, 0.0]), v)
+    lam = np.sort(np.linalg.eigvals(A).real)
     km, kp = 1.0, 1.2
     w = affine_blend(v)
     c = np.sqrt((w * kp + (1 - w) * km) / tau ** 2)
@@ -129,7 +132,7 @@ def test_system_from_scalar_wraps_dimensions(burgers):
     sys_model = system_from_scalar(burgers, u_center=0.5, delta0=0.4)
     assert sys_model.N == 1
     assert sys_model.in_ball(np.array([0.5]))
-    A = sys_model.A(np.array([0.6]), 0.0)
+    A, _, _ = sys_model.pencil(np.array([0.6]), 0.0)
     assert A.shape == (1, 1)
     assert A[0, 0] == pytest.approx(burgers.lam(0.6, 0.0), rel=1e-12)
 
@@ -200,13 +203,38 @@ def test_model_from_config_preset_and_unknown_kind(p_system):
 
 
 def test_stacked_callables_match_pointwise(p_system, burgers):
+    # gamma = u + 0.2 u^3 gives A0 != I for N = 1; the p-system with a
+    # state- and color-dependent A0 checks the order of the products for N = 2
+    cubic = lambda u: u + 0.2 * np.asarray(u, dtype=float) ** 3
+    flux = lambda w: np.asarray(w, dtype=float) ** 2 / 2.0
+    cubic_gamma = build_scalar_model(cubic, cubic, flux, flux)
+
+    def A0(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.2 * u[..., 0]
+        out[..., 0, 1] = 0.1 * v
+        out[..., 1, 1] = 1.5 + 0.1 * u[..., 1]
+        return out
+
     rng = np.random.default_rng(5)
-    for model in (p_system, system_from_scalar(burgers, u_center=0.5, delta0=0.4)):
+    for model in (p_system, system_from_scalar(burgers, u_center=0.5, delta0=0.4),
+                  system_from_scalar(cubic_gamma, u_center=0.5, delta0=0.4),
+                  dataclasses.replace(p_system, A0=A0)):
         U = model.ball_samples(12)
         v = rng.uniform(-1.0, 1.0, 12)
-        for name in ("A0", "A1", "B0", "A", "B"):
-            fn = getattr(model, name)
-            stacked = fn(U, v)
-            assert stacked.shape == (12, model.N, model.N)
-            for k in range(12):
-                np.testing.assert_array_equal(stacked[k], fn(U[k], v[k]))
+
+        def fields(u, w):
+            return (model.A0(u, w), model.A1(u, w), model.B0(u, w), *model.pencil(u, w))
+
+        stacked = fields(U, v)
+        for values in stacked:
+            assert values.shape == (12, model.N, model.N)
+        for k in range(12):
+            for values, point in zip(stacked, fields(U[k], v[k])):
+                np.testing.assert_array_equal(values[k], point)
+        a0, a1, b0, A, B, A0_inv = stacked
+        np.testing.assert_allclose(A @ a0, a1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(B @ a0, b0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(A0_inv @ a0, np.broadcast_to(np.eye(model.N), a0.shape),
+                                   rtol=0, atol=1e-13)

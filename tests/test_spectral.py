@@ -24,8 +24,7 @@ def test_pencil_identities_p_system(p_system):
     u = np.array([1.1, 0.05])
     v, xi = 0.3, 0.2
     data = solve_generalized_eigen(p_system, u, v, xi)
-    A = p_system.A(u, v)
-    B = p_system.B(u, v)
+    A, B, _ = p_system.pencil(u, v)
     # defining relation (-xi I + A) r = mu B r
     for i in range(2):
         r = data.r_hat[i]
@@ -83,7 +82,7 @@ def test_kernel_matches_eig_decomposition_for_identity_viscosity(p_system):
     v = rng.uniform(-1.0, 1.0, 50)
     xi = rng.uniform(-p_system.M, p_system.M, 50)
     data = eigen_fields(p_system, U, v, xi)
-    w, R, _, real = eig_decomposition(p_system.A(U, v))
+    w, R, _, real = eig_decomposition(p_system.pencil(U, v)[0])
     assert real.all()
     np.testing.assert_allclose(data.mu, w - xi[:, None], atol=1e-12)
     np.testing.assert_allclose(data.mu, data.lambda_hat - xi[:, None], atol=1e-12)
@@ -109,8 +108,8 @@ def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
     dA, dB = matrix_derivatives(p_system, U, v, [[0.0, 0.0, 1e-5], [1e-5, 0.0, 0.0]])
     dR = eigenvector_derivative(data, dA, dB, U, v, xi)
     np.testing.assert_allclose(np.einsum("mnij,nij->mni", dR, data.r_hat), 0.0, atol=1e-14)
-    K = -xi[:, None, None] * np.eye(2) + p_system.A(U, v)
-    B = p_system.B(U, v)
+    A, B, _ = p_system.pencil(U, v)
+    K = -xi[:, None, None] * np.eye(2) + A
     for j in range(2):
         r, mu = data.r_hat[:, j], data.mu[:, j, None, None]
         dmu = np.einsum("ni,mnij,nj->mn", data.l_hat[:, j], dA - mu * dB, r)

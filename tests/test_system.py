@@ -81,12 +81,15 @@ def _difference_reference(model, U, v, xi, h):
         flips = np.sign(np.einsum("nij,nij->ni", base.r_hat, shifted.r_hat))
         return np.swapaxes(shifted.r_hat * flips[..., None], 1, 2)
 
+    def B(U, v):
+        return model.pencil(U, v)[1]
+
     def L_dBr(dU, dv, step):
-        hi = model.B(U + dU, v + dv) @ cols(dU, dv, 0.0)
-        lo = model.B(U - dU, v - dv) @ cols(-dU, -dv, 0.0)
+        hi = B(U + dU, v + dv) @ cols(dU, dv, 0.0)
+        lo = B(U - dU, v - dv) @ cols(-dU, -dv, 0.0)
         return L @ (hi - lo) / (2.0 * step)
 
-    eta_pi = -(L @ model.B(U, v) @ (cols(0.0, 0.0, h) - cols(0.0, 0.0, -h)) / (2.0 * h))
+    eta_pi = -(L @ B(U, v) @ (cols(0.0, 0.0, h) - cols(0.0, 0.0, -h)) / (2.0 * h))
     w = np.linalg.inv(model.A0(U, v)) @ np.swapaxes(base.r_hat, 1, 2)
     hu = h * model.delta0
     kappa = -sum(np.einsum("nij,nl->nijl", L_dBr(hu * e, 0.0, hu), w[:, m])
@@ -244,6 +247,23 @@ def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
     assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
                           np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
     assert calls == [n]
+
+
+def test_assembly_forms_the_pencil_once(p_system):
+    # one pencil per point set: the eigensolve's points, the assembly's own
+    # B and A0^-1, and the stacked shifted points of the matrix derivatives
+    calls = []
+
+    def A0(u, v):
+        calls.append(len(v))
+        return p_system.A0(u, v)
+
+    model = dataclasses.replace(p_system, A0=A0)
+    n = 64
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    assemble_coefficients(model, np.tile(p_system.u_ref, (n, 1)),
+                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+    assert calls == [n, n, 2 * (model.N + 1) * n]
 
 
 def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypatch):
