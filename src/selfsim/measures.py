@@ -133,7 +133,7 @@ class TransferResult:
 def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
                    i: int, anchor: int) -> TransferResult:
     xi = measures.xi
-    a = weighted_transfer(measures.log_phi[:, i], log_source, xi, anchor)
+    a = weighted_transfer(measures.log_phi[None, :, i], log_source[None], xi, [anchor])[0]
     b = _transfer_via_rho(log_source, measures.log_phi[:, i], xi, anchor,
                           int(measures.rho_index[i]))
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)

@@ -6,15 +6,19 @@ Euclidean norm and left covectors l_hat_i satisfying l_hat_i . (B r_hat_j) =
 delta_ij.  The derived quantities lambda_hat_i = r_hat_i . A r_hat_i and
 d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 
-All of it is computed by one kernel, ``eigen_fields``, on stacked points with
-stacked LAPACK calls; the single-point ``solve_generalized_eigen`` is its
-n = 1 case.  ``eigenvector_derivative`` differentiates r_hat by first-order
-perturbation of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve.
+All of it is computed by one kernel, ``pencil_eigen``, on stacked points with
+stacked LAPACK calls, from pencil matrices the caller formed once with
+``SystemCouplingModel.pencil``; ``eigen_fields`` forms them from a model and
+adds the per-point residual, and ``solve_generalized_eigen`` is its n = 1
+case.  ``eigenvector_derivative`` differentiates r_hat by first-order
+perturbation of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve,
+along the derivatives of ``matrix_derivatives``, which inverts A0 only at
+the base points (product rule).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,8 +28,8 @@ from .models import SystemCouplingModel
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
 GAP_FLOOR = 1e-8
 
-# central-difference step of the pencil matrices A, B: state (x delta0) and
-# color
+# central-difference step of the model matrices A0, A1, B0: state (x delta0)
+# and color
 MATRIX_STEP = 1e-5
 
 
@@ -46,7 +50,9 @@ class SpectralData:
     l_hat: np.ndarray         # (..., N, N), row i = left covector of family i
     lambda_hat: np.ndarray    # (..., N)
     d: np.ndarray             # (..., N)
-    residual: np.ndarray      # (...,) 2-norm of the pencil residual
+    # (...,) 2-norm of the pencil residual; None from ``pencil_eigen``, whose
+    # callers do not read it
+    residual: np.ndarray | None
 
 
 def _fix_signs(R: np.ndarray) -> np.ndarray:
@@ -79,19 +85,18 @@ def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             np.linalg.inv(V), real)
 
 
-def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:
-    """Eigendata of the pencil at the stacked points (U[k], v[k], xi[k]).
+def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
+    """Eigendata of the pencil (-xi I + A, B), given its matrices A, B
+    (n, N, N) at the stacked points (U[k], v[k], xi[k]); the points only name
+    the first non-hyperbolic one in a HyperbolicityError.  ``residual`` is
+    None.
 
     Eigenvector signs are fixed per point (largest component positive) and
     then continued along the points: each r_hat_i is flipped so that
     r_hat_i(k) . r_hat_i(k-1) >= 0.  The left covectors flip with their
     eigenvectors.
     """
-    U = np.asarray(U, dtype=float).reshape(-1, model.N)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    A, B, _ = model.pencil(U, v)
-    shifted = -xi[:, None, None] * np.eye(model.N) + A
+    shifted = -xi[:, None, None] * np.eye(A.shape[-1]) + A
     w, V = np.linalg.eig(np.linalg.solve(B, shifted))
     bad = np.max(np.abs(w.imag), axis=1) > 1e-9 * np.maximum(
         1.0, np.max(np.abs(w.real), axis=1))
@@ -108,16 +113,29 @@ def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:
 
     d = 1.0 / np.einsum("nji,njk,nki->ni", V, B, V)
     mu = (-xi[:, None] + lam_hat) * d
-    BV = B @ V
-    L = np.linalg.inv(BV)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
-    residual = np.linalg.norm(shifted @ V - BV * mu[:, None, :], 2, axis=(1, 2))
+    L = np.linalg.inv(B @ V)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
 
     R = np.swapaxes(V, 1, 2)
     flips = np.ones_like(mu)
     flips[1:] = np.cumprod(_signs(np.einsum("nij,nij->ni", R[:-1], R[1:])), axis=0)
     return SpectralData(mu=mu, r_hat=R * flips[:, :, None],
                         l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d,
-                        residual=residual)
+                        residual=None)
+
+
+def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:
+    """Eigendata of the model's pencil at the stacked points (U[k], v[k],
+    xi[k]), by ``pencil_eigen``, with the per-point residual
+    |(-xi I + A) R - B R diag(mu)|_2, R the matrix of columns r_hat_i."""
+    U = np.asarray(U, dtype=float).reshape(-1, model.N)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    A, B, _ = model.pencil(U, v)
+    data = pencil_eigen(A, B, U, v, xi)
+    R = np.swapaxes(data.r_hat, 1, 2)
+    shifted = -xi[:, None, None] * np.eye(model.N) + A
+    residual = np.linalg.norm(shifted @ R - (B @ R) * data.mu[:, None, :], 2, axis=(1, 2))
+    return replace(data, residual=residual)
 
 
 def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
@@ -140,17 +158,29 @@ def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
     return np.swapaxes(Rc @ C, -1, -2)
 
 
-def matrix_derivatives(model: SystemCouplingModel, U, v, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences (dA, dB), shape (m, n, N, N), of the pencil
-    matrices at the n points (U, v), each along a row of ``steps`` (m, N + 1),
-    a step in (u, v), per unit length; one stacked pencil call, no eigensolve."""
+def matrix_derivatives(model: SystemCouplingModel, U, v, steps, pencil) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives (dA, dB), shape (m, n, N, N), of the pencil matrices
+    A = A1 A0^-1 and B = B0 A0^-1 at the n points (U, v), each along a row of
+    ``steps`` (m, N + 1), a step in (u, v), per unit length.
+
+    A0, A1 and B0 are differenced centrally at the 2mn shifted points in one
+    stacked call each, and combined by the product rule with the base points'
+    ``pencil`` = (A, B, A0^-1) from ``model.pencil(U, v)``:
+    dA = (dA1 - A dA0) A0^-1 and dB = (dB0 - B dA0) A0^-1.  A0 is not
+    inverted at the shifted points, and no eigensolve is made."""
     steps = np.asarray(steps, dtype=float)[:, None, :]
     pts = np.column_stack([U, v])
     shifted = np.concatenate([pts + steps, pts - steps]).reshape(-1, model.N + 1)
     shape = (2, len(steps), len(pts), model.N, model.N)
-    A, B = (m.reshape(shape) for m in model.pencil(shifted[:, :-1], shifted[:, -1])[:2])
     h = 2.0 * np.linalg.norm(steps, axis=-1)[..., None, None]
-    return (A[0] - A[1]) / h, (B[0] - B[1]) / h
+
+    def central(f):
+        values = np.asarray(f(shifted[:, :-1], shifted[:, -1]), dtype=float).reshape(shape)
+        return (values[0] - values[1]) / h
+
+    dA0 = central(model.A0)
+    A, B, A0_inv = pencil
+    return (central(model.A1) - A @ dA0) @ A0_inv, (central(model.B0) - B @ dA0) @ A0_inv
 
 
 def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) -> SpectralData:
@@ -162,18 +192,23 @@ def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) 
 
 
 def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24) -> tuple[float, float]:
-    """eta = max sampled operator-norm distance of B from the identity;
-    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by pencil perturbation."""
+    """eta = max sampled operator-norm distance of B from the identity, over
+    the colors of the hypothesis check, which include v = +-1;
+    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by pencil perturbation at
+    interior colors, where the central difference in v stays in [-1, 1]."""
     pts = model.ball_samples(sample_count)
+    colors = np.linspace(-1.0, 1.0, 9)
+    _, B, _ = model.pencil(np.repeat(pts, len(colors), axis=0), np.tile(colors, len(pts)))
+    eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
+
     vs = np.linspace(-1.0 + MATRIX_STEP, 1.0 - MATRIX_STEP, 9)
     xis = np.linspace(-model.M, model.M, 5)
     # the (state, color, xi) sample grid, flattened in that order
     i, j, k = np.indices((len(pts), len(vs), len(xis))).reshape(3, -1)
     U, v, xi = pts[i], vs[j], xis[k]
-    _, B, _ = model.pencil(U, v)
-    eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
-    base = eigen_fields(model, U, v, xi)
-    dA, dB = matrix_derivatives(model, U, v, MATRIX_STEP * np.eye(model.N + 1)[-1:])
+    A, B, _ = pencil = model.pencil(U, v)
+    base = pencil_eigen(A, B, U, v, xi)
+    dA, dB = matrix_derivatives(model, U, v, MATRIX_STEP * np.eye(model.N + 1)[-1:], pencil)
     dR = np.swapaxes(eigenvector_derivative(base, dA, dB, U, v, xi), -1, -2)
     nu = np.abs(base.l_hat @ (dB @ np.swapaxes(base.r_hat, 1, 2) + B @ dR)).max()
     return float(eta), float(nu)

@@ -25,7 +25,7 @@ from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
 from .models import SystemCouplingModel
 from .quadrature import log_of, weighted_transfer
-from .spectral import MATRIX_STEP, eigen_fields, eigenvector_derivative, matrix_derivatives
+from .spectral import MATRIX_STEP, eigenvector_derivative, matrix_derivatives, pencil_eigen
 
 PHI_SUM_FLOOR = 1e-300
 
@@ -107,19 +107,21 @@ def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
                           v: np.ndarray, xi: np.ndarray,
                           psi: np.ndarray) -> CoefficientFields:
     """Pointwise eigendata plus the coefficients of the characteristic ODE
-    system, from one eigensolve and first-order perturbation of the pencil."""
+    system, from one pencil, one eigensolve and first-order perturbation of
+    the pencil."""
     N = model.N
     U = np.asarray(U, dtype=float).reshape(len(xi), N)
     v = np.asarray(v, dtype=float)
     xi = np.asarray(xi, dtype=float)
 
-    base = eigen_fields(model, U, v, xi)
+    A, B, A0_inv = pencil = model.pencil(U, v)
+    base = pencil_eigen(A, B, U, v, xi)
     L, R = base.l_hat, np.swapaxes(base.r_hat, 1, 2)  # R: columns r_hat_j
-    _, B, A0_inv = model.pencil(U, v)
 
     # pencil derivatives along xi (dK = -I, dB = 0), the N states and the
     # color, stacked on a leading direction axis
-    dA, dB = matrix_derivatives(model, U, v, np.diag([MATRIX_STEP * model.delta0] * N + [MATRIX_STEP]))
+    dA, dB = matrix_derivatives(model, U, v, np.diag([MATRIX_STEP * model.delta0] * N + [MATRIX_STEP]),
+                                pencil)
     dK = np.concatenate([np.broadcast_to(-np.eye(N), dA[:1].shape), dA])
     dB = np.concatenate([np.zeros_like(dB[:1]), dB])
     dR = np.swapaxes(eigenvector_derivative(base, dK, dB, U, v, xi), -1, -2)
@@ -162,15 +164,14 @@ def correction_map(measures: WaveMeasureSet, coeffs: CoefficientFields,
     source = (np.einsum("nkj,nj->nk", coeffs.eta_pi, a)
               + np.einsum("nkjl,nj,nl->nk", coeffs.kappa, a, a)
               + np.einsum("nkj,nj->nk", coeffs.sigma, a) * coeffs.psi[:, None])
-    out = np.empty_like(theta)
-    for k in range(measures.N):
-        # the kernel takes a nonnegative source: transfer each signed part
-        pos, neg = (weighted_transfer(measures.log_phi[:, k],
-                                      log_of(np.maximum(sgn * source[:, k], 0.0)),
-                                      measures.xi, int(measures.c_index[k]))
-                    for sgn in (1.0, -1.0))
-        out[:, k] = pos - neg
-    return out
+    # the kernel takes a nonnegative source: the positive and the negative
+    # part of every family are its 2N rows, each anchored at c_k
+    N = measures.N
+    parts = np.concatenate([source.T, -source.T])
+    T = weighted_transfer(np.concatenate([measures.log_phi.T] * 2),
+                          log_of(np.maximum(parts, 0.0)), measures.xi,
+                          np.tile(measures.c_index, 2))
+    return (T[:N] - T[N:]).T
 
 
 def fit_envelope_constant(measures: WaveMeasureSet, coeffs: CoefficientFields,
@@ -310,6 +311,10 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
                  u_left, u_right) -> SystemSolveState:
     u_left = np.asarray(u_left, dtype=float)
     u_right = np.asarray(u_right, dtype=float)
+    for name, u in (("u_left", u_left), ("u_right", u_right)):
+        if u.shape != (model.N,):
+            raise ValueError(f"Riemann data {name} has shape {u.shape}; the model has "
+                             f"N = {model.N} components, so it must have shape ({model.N},)")
     if not (model.in_ball(u_left) and model.in_ball(u_right)):
         raise SmallnessViolation("Riemann data outside the model state ball")
 

@@ -176,6 +176,17 @@ def test_solve_system_artifacts(tmp_path):
     assert header == "xi,u_1,u_2,v,a_1,a_2"
 
 
+def test_solve_system_rejects_data_of_the_wrong_dimension(tmp_path, capsys):
+    for tag, uL, uR in (("1", "1.249", "1.251"), ("3", "1.249,0,0", "1.251,0,0")):
+        code, out = _run(tmp_path / tag, "solve-system", "--model", "p-system",
+                         "--eps", "0.1", "--uL", uL, "--uR", uR)
+        assert code == 1
+        assert _manifest(out)["complete"] is False
+        err = capsys.readouterr().err
+        assert f"error: ValueError: Riemann data u_left has shape ({tag},)" in err
+        assert "N = 2" in err
+
+
 def test_spectral_sweep_artifacts(tmp_path):
     code, out = _run(tmp_path, "spectral-sweep", "--model", "p-system",
                      "--eps", "0.1", "--grid", "128")

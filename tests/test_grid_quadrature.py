@@ -120,8 +120,10 @@ def test_weighted_transfer_matches_naive_at_moderate_exponents():
     log_phi = -x ** 2
     source = np.sin(3.0 * x)  # mixed sign: transfer each signed part
     anchor = 400
-    got = (weighted_transfer(log_phi, log_of(np.maximum(source, 0.0)), x, anchor)
-           - weighted_transfer(log_phi, log_of(np.maximum(-source, 0.0)), x, anchor))
+    pos, neg = weighted_transfer(np.stack([log_phi, log_phi]),
+                                 log_of(np.maximum(np.stack([source, -source]), 0.0)),
+                                 x, [anchor, anchor])
+    got = pos - neg
     from scipy.integrate import cumulative_trapezoid
     inner = cumulative_trapezoid(source / np.exp(log_phi), x, initial=0.0)
     naive = np.exp(log_phi) * (inner - inner[anchor])
@@ -135,14 +137,17 @@ def test_weighted_transfer_survives_stiff_weights():
     x = np.linspace(-2.0, 2.0, 4001)
     log_phi = -(x ** 2) / eps
     source = np.exp(log_phi)  # self-transfer
-    out = weighted_transfer(log_phi, log_of(source), x, anchor=2000)
+    out = weighted_transfer(log_phi[None], log_of(source)[None], x, [2000])
     assert np.all(np.isfinite(out))
     assert np.abs(out).max() < 4.0  # |J_{i->i}| <= interval length * phi scale
 
 
 def test_weighted_transfer_of_zero_source_is_exactly_zero():
     x = np.linspace(-1.0, 1.0, 201)
-    out = weighted_transfer(-x ** 2, log_of(np.zeros_like(x)), x, anchor=50)
+    # the zero row sits between live rows of the same stacked call
+    log_phi = np.stack([-x ** 2] * 3)
+    source = np.stack([np.ones_like(x), np.zeros_like(x), np.ones_like(x)])
+    out = weighted_transfer(log_phi, log_of(source), x, [50, 50, 150])[1]
     assert np.array_equal(out, np.zeros_like(x))
     assert not np.signbit(out).any()
 

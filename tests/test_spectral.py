@@ -1,11 +1,13 @@
 """Generalized eigenstructure: exact identities and sign continuity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
-from selfsim.models import SystemCouplingModel
+from selfsim.models import SystemCouplingModel, validate_hypotheses
 from selfsim.spectral import (HyperbolicityError, eig_decomposition,
                               eigen_fields, eigenvector_derivative,
                               estimate_eta_nu, matrix_derivatives,
@@ -96,6 +98,76 @@ def test_estimate_eta_nu_identity_viscosity(p_system):
     assert 0.0 < nu < 1.0  # eigenvectors genuinely rotate in v
 
 
+@pytest.mark.parametrize("c", [0.05, 0.2, 0.5])
+def test_eta_covers_the_colors_of_the_hypothesis_check(p_system, c):
+    # B = I + c diag(tau - tau0, v/2) is extremal at v = +-1, which the
+    # check samples: |B - I| = c/2 inside the state ball
+    tau0 = p_system.u_ref[0]
+
+    def B0(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
+        out[..., 0, 0] = 1.0 + c * (u[..., 0] - tau0)
+        out[..., 1, 1] = 1.0 + c * v / 2.0
+        return out
+
+    model = dataclasses.replace(p_system, B0=B0)
+    eta, nu = estimate_eta_nu(model)
+    model = dataclasses.replace(model, eta=eta, nu=nu)
+    check, = (ck for ck in validate_hypotheses(model)["checks"] if ck["name"] == "|B - I| <= eta")
+    assert check["passed"], check
+    assert eta == pytest.approx(c / 2.0, rel=1e-12)
+
+
+def _product_rule_model(p_system):
+    """The p-system with A0 and B0 that depend on the state and the color."""
+    def A0(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.2 * u[..., 0]
+        out[..., 0, 1] = 0.1 * v
+        out[..., 1, 1] = 1.5 + 0.1 * u[..., 1] + 0.05 * v * u[..., 0]
+        return out
+
+    def B0(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.3 * u[..., 0] ** 2
+        out[..., 1, 0] = 0.1 * v + 0.2 * u[..., 1]
+        out[..., 1, 1] = 1.0 + 0.1 * v
+        return out
+
+    return dataclasses.replace(p_system, A0=A0, B0=B0)
+
+
+def _pencil_differences(model, U, v, steps):
+    """Central differences of the pencil's A and B themselves."""
+    steps = np.asarray(steps, dtype=float)
+    h = 2.0 * np.linalg.norm(steps, axis=-1)[:, None, None, None]
+    hi = [model.pencil(U + s[:-1], v + s[-1]) for s in steps]
+    lo = [model.pencil(U - s[:-1], v - s[-1]) for s in steps]
+    return tuple((np.stack([p[m] for p in hi]) - np.stack([p[m] for p in lo])) / h
+                 for m in (0, 1))
+
+
+def test_product_rule_matches_differences_of_the_pencil(p_system):
+    rng = np.random.default_rng(9)
+    steps = 1e-5 * np.array([[p_system.delta0, 0.0, 0.0], [0.0, p_system.delta0, 0.0],
+                             [0.0, 0.0, 1.0]])
+    for model in (p_system, _product_rule_model(p_system)):
+        U = model.ball_samples(40)
+        v = rng.uniform(-0.95, 0.95, 40)
+        got = matrix_derivatives(model, U, v, steps, model.pencil(U, v))
+        ref = _pencil_differences(model, U, v, steps)
+        for g, r in zip(got, ref):
+            assert g.shape == (3, 40, 2, 2)
+            if model is p_system:  # A0 = B0 = I: dA0 = 0, nothing to round
+                np.testing.assert_array_equal(g, r)
+            else:
+                assert np.abs(r).max() > 1e-2
+                np.testing.assert_allclose(g, r, rtol=0, atol=1e-8)
+
+
 def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
     # differentiating (K - mu_j B) r_j = 0 gives
     # (K - mu_j B) dr_j = -(dK - mu_j dB) r_j + dmu_j B r_j, and |r_j| = 1
@@ -105,10 +177,11 @@ def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
     v = rng.uniform(-0.9, 0.9, 30)
     xi = rng.uniform(-p_system.M, p_system.M, 30)
     data = eigen_fields(p_system, U, v, xi)
-    dA, dB = matrix_derivatives(p_system, U, v, [[0.0, 0.0, 1e-5], [1e-5, 0.0, 0.0]])
+    pencil = p_system.pencil(U, v)
+    dA, dB = matrix_derivatives(p_system, U, v, [[0.0, 0.0, 1e-5], [1e-5, 0.0, 0.0]], pencil)
     dR = eigenvector_derivative(data, dA, dB, U, v, xi)
     np.testing.assert_allclose(np.einsum("mnij,nij->mni", dR, data.r_hat), 0.0, atol=1e-14)
-    A, B, _ = p_system.pencil(U, v)
+    A, B, _ = pencil
     K = -xi[:, None, None] * np.eye(2) + A
     for j in range(2):
         r, mu = data.r_hat[:, j], data.mu[:, j, None, None]

@@ -8,8 +8,9 @@ import pytest
 import selfsim.system
 from selfsim.color import ColorProfile
 from selfsim.models import build_scalar_model, system_from_scalar
+from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
-from selfsim.spectral import eigen_fields
+from selfsim.spectral import eigen_fields, pencil_eigen
 from selfsim.system import (SmallnessViolation, SystemSolveConfig,
                             admissible_jump_radius, assemble_coefficients,
                             build_measures, correction_map, envelope_bound,
@@ -167,6 +168,14 @@ def test_data_outside_ball_rejected(p_system):
         solve_system(p_system, SystemSolveConfig(eps=EPS), p_system.u_ref, big)
 
 
+def test_riemann_data_of_the_wrong_dimension_rejected(p_system):
+    # checked before the ball: a 1-vector would broadcast to (u, u)
+    for uL, uR in (([1.249], [1.251]), ([1.249, 0.0, 0.0], [1.251, 0.0, 0.0]),
+                   (p_system.u_ref, [1.251])):
+        with pytest.raises(ValueError, match=r"shape \(\d,\); the model has N = 2"):
+            solve_system(p_system, SystemSolveConfig(eps=EPS), np.array(uL), np.array(uR))
+
+
 def test_jump_exceeding_radius_rejected(p_system):
     r = admissible_jump_radius(p_system, p_system.delta0 / 4.0)
     uL = p_system.u_ref - np.array([r, 0.0])
@@ -239,9 +248,9 @@ def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(len(args[-1]))
-        return eigen_fields(*args, **kwargs)
+        return pencil_eigen(*args, **kwargs)
 
-    monkeypatch.setattr(selfsim.system, "eigen_fields", counted)
+    monkeypatch.setattr(selfsim.system, "pencil_eigen", counted)
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
@@ -250,8 +259,9 @@ def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
 
 
 def test_assembly_forms_the_pencil_once(p_system):
-    # one pencil per point set: the eigensolve's points, the assembly's own
-    # B and A0^-1, and the stacked shifted points of the matrix derivatives
+    # one pencil per point set: the n base points, shared by the eigensolve
+    # and the assembly, and the stacked shifted points of the matrix
+    # derivatives, where A0 is evaluated but not inverted
     calls = []
 
     def A0(u, v):
@@ -263,7 +273,25 @@ def test_assembly_forms_the_pencil_once(p_system):
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(model, np.tile(p_system.u_ref, (n, 1)),
                           np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
-    assert calls == [n, n, 2 * (model.N + 1) * n]
+    assert calls == [n, 2 * (model.N + 1) * n]
+
+
+def test_assembly_inverts_2n_matrices(p_system, monkeypatch):
+    # A0 once in the pencil and B r_hat once in the eigensolve, at the base
+    # points only
+    inv = np.linalg.inv
+    matrices = []
+
+    def counted(a):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    n = 64
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
+                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+    assert sum(matrices) == 2 * n
 
 
 def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypatch):
@@ -315,6 +343,51 @@ def test_nan_source_is_rejected_by_correction_map(p_system):
     theta[n // 2, 0] = np.nan
     with pytest.raises(ValueError, match="finite nonnegative"):
         correction_map(measures, coeffs, np.array([1e-3, 1e-3]), theta)
+
+
+def _row_transfer(log_phi, log_source, x, anchor):
+    """The transfer kernel on one row, as it was before the rows were
+    stacked: an exp at every point, the log floor included."""
+    if np.all(np.isneginf(log_source)):
+        return np.zeros_like(log_phi)
+    log_abs, orient = log_cumtrapz_from(log_source - log_phi, x, anchor)
+    with np.errstate(over="ignore", under="ignore"):
+        return orient * np.exp(np.clip(log_phi + log_abs, LOG_FLOOR, 700.0))
+
+
+def _per_family_correction(measures, coeffs, tau, theta):
+    """The correction map with one transfer call per family and sign."""
+    a = tau[None, :] * measures.phi + theta
+    source = (np.einsum("nkj,nj->nk", coeffs.eta_pi, a)
+              + np.einsum("nkjl,nj,nl->nk", coeffs.kappa, a, a)
+              + np.einsum("nkj,nj->nk", coeffs.sigma, a) * coeffs.psi[:, None])
+    out = np.empty_like(theta)
+    for k in range(measures.N):
+        pos, neg = (_row_transfer(measures.log_phi[:, k],
+                                  log_of(np.maximum(sgn * source[:, k], 0.0)),
+                                  measures.xi, int(measures.c_index[k]))
+                    for sgn in (1.0, -1.0))
+        out[:, k] = pos - neg
+    return out
+
+
+def test_stacked_correction_map_matches_per_family_transfers(p_system):
+    n = 599
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    prof = ColorProfile(EPS, 1.0, p_system.M)
+    v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
+    jump = np.array([0.01 * p_system.delta0, 0.0])
+    U = p_system.u_ref - jump / 2.0 + jump * (v[:, None] + 1.0) / 2.0
+    tau = np.array([2e-3, -1e-3])
+    for model in (p_system, _state_dependent_viscosity(p_system)):
+        coeffs = assemble_coefficients(model, U, v, xi, psi)
+        measures = build_measures(model, coeffs, EPS)
+        theta = np.zeros((n, 2))
+        for _ in range(2):
+            new = correction_map(measures, coeffs, tau, theta)
+            assert np.array_equal(new, _per_family_correction(measures, coeffs, tau, theta))
+            assert np.abs(new).max() > 0.0
+            theta = new
 
 
 def test_zero_correction_is_fixed_point_at_zero_strength(p_system):
