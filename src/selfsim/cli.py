@@ -34,7 +34,7 @@ from .measures import build_phi_star, constant_speed_fields, verify_bounds
 from .models import (ModelConstructionError, ScalarCouplingModel,
                      SystemCouplingModel, model_from_config, preset_model)
 from .scalar import ScalarSolveConfig, solve_scalar
-from .spectral import eigen_fields
+from .spectral import pencil_eigen
 from .system import SystemSolveConfig, solve_system
 
 SCHEMA_VERSION = 1
@@ -337,9 +337,12 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     n = cfg.grid if cfg.grid is not None else 512
     xi = uniform_grid(M, n)
     v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
-    u0 = (np.asarray(cfg.u, dtype=float) if cfg.u is not None else model.u_ref)
-    U = np.tile(np.atleast_1d(u0), (n, 1))
-    sweep = eigen_fields(model, U, v, xi)
+    u0 = np.atleast_1d(np.asarray(cfg.u, dtype=float) if cfg.u is not None else model.u_ref)
+    if u0.shape != (model.N,):
+        raise ConfigError(f"--u has shape {u0.shape}; the model has N = {model.N} components")
+    U = np.tile(u0, (n, 1))
+    A, B, _ = model.pencil(U, v)
+    sweep = pencil_eigen(A, B, U, v, xi)
     N = model.N
     header = ["xi"] + [f"mu_{i + 1}" for i in range(N)] \
         + [f"lambda_{i + 1}" for i in range(N)] + [f"d_{i + 1}" for i in range(N)]
@@ -348,7 +351,7 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         + [sweep.d[:, i] for i in range(N)]
     write_csv(out / "sweep.csv", header, cols)
     write_json(out / "diagnostics.json", {
-        "eps": eps, "M": M, "grid": n, "u": np.atleast_1d(u0),
+        "eps": eps, "M": M, "grid": n, "u": u0,
         "eta": model.eta, "nu": model.nu,
     })
     return ["sweep.csv", "diagnostics.json"], True
@@ -386,7 +389,8 @@ def _model_factories(cfg: RunConfig, model: SystemCouplingModel):
         xi = uniform_grid(M, n)
         v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
         U = np.tile(model.u_ref, (n, 1))
-        mu = eigen_fields(model, U, v, xi).mu
+        A, B, _ = model.pencil(U, v)
+        mu = pencil_eigen(A, B, U, v, xi).mu
         return build_phi_star(xi, mu, eps, model.lam_low, model.lam_high)
 
     return measure_factory, _psi_factory(cfg, M)

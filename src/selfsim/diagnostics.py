@@ -28,6 +28,7 @@ EXCLUSION_FACTOR = 3.0  # excluded zone is |xi| < 3 eps^(p/2)
 WEAK_TOLERANCE = 1e-3   # pass mark of every weak residual
 KRUZHKOV_COUNT = 9      # entropies |w - k| at interior points k of the data
 RIEMANN_SAMPLES = 4001  # flux samples of the exact Riemann construction
+RIEMANN_TOL = 1e-6      # pass mark of the Rankine-Hugoniot and Oleinik checks
 TRACE_AGREE_TOL = 1e-2  # one-sided traces closer than this agree
 
 
@@ -218,8 +219,7 @@ def exact_scalar_riemann(flux: Callable, u_left: float,
                                 states=states, speeds=speeds, shocks=shocks)
 
 
-def riemann_soundness(flux: Callable, sol: ExactRiemannSolution,
-                      tol: float = 1e-6) -> dict:
+def riemann_soundness(flux: Callable, sol: ExactRiemannSolution) -> dict:
     """Direct Rankine-Hugoniot and Oleinik checks at every discontinuity."""
     worst_rh = 0.0
     worst_oleinik = 0.0
@@ -234,7 +234,7 @@ def riemann_soundness(flux: Callable, sol: ExactRiemannSolution,
             # w -> -w, f -> -f(-.) preserves the chord slopes)
             worst_oleinik = max(worst_oleinik, float(np.max(s - chords)))
     return {"rankine_hugoniot": worst_rh, "oleinik": worst_oleinik,
-            "passed": worst_rh <= tol and worst_oleinik <= tol}
+            "passed": worst_rh <= RIEMANN_TOL and worst_oleinik <= RIEMANN_TOL}
 
 
 def l1_distance(a: GridFunction, b: GridFunction) -> float:

@@ -30,10 +30,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @property
-    def n(self) -> int:
-        return len(self.xi)
-
-    @property
     def M(self) -> float:
         return float(self.xi[-1])
 
@@ -43,18 +39,12 @@ class GridFunction:
             raise ValueError("interpolation only supported for scalar values")
         return np.interp(x, self.xi, self.values)
 
-    def trapz(self) -> float | np.ndarray:
-        return np.trapezoid(self.values, self.xi, axis=0)
-
     def cumtrapz(self) -> "GridFunction":
         """Running trapezoid integral from xi[0], zero at the first point."""
         y = self.values
         d = np.diff(self.xi).reshape((-1,) + (1,) * (y.ndim - 1))
         cum = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
         return GridFunction(self.xi, np.concatenate([np.zeros_like(y[:1]), cum]))
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def tv(self) -> float:
         """Total variation; vector values use the Euclidean norm of jumps."""

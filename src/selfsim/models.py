@@ -22,6 +22,10 @@ class ModelConstructionError(ValueError):
 
 
 FD_STEP = 1e-6  # central-difference step of a derivative not given in closed form
+SCALAR_SAMPLES = 64      # (u, v) grid points per axis of a scalar model's constants
+P_SYSTEM_SAMPLES = 24    # tau, v grid points and ball states of a p-system's constants
+HYPOTHESIS_SAMPLES = 64  # ball states (scalar: grid points per axis) of the check
+A0_DET_FLOOR = 1e-12     # |det A0| at or below which a sampled A0 counts as singular
 
 
 def finite_difference(fn: Callable) -> Callable:
@@ -86,7 +90,6 @@ def build_scalar_model(
     d_gamma_plus: Callable | None = None,
     d_f_minus: Callable | None = None,
     d_f_plus: Callable | None = None,
-    samples: int = 64,
     name: str = "scalar",
 ) -> ScalarCouplingModel:
     """Assemble A0, A1 by blending the v = -1 and v = +1 endpoint values.
@@ -113,8 +116,8 @@ def build_scalar_model(
         def B0(u, v):  # noqa: A001 - shadow on purpose
             return np.ones_like(np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
 
-    us = np.linspace(u_domain[0], u_domain[1], samples)
-    vs = np.linspace(-1.0, 1.0, samples)
+    us = np.linspace(u_domain[0], u_domain[1], SCALAR_SAMPLES)
+    vs = np.linspace(-1.0, 1.0, SCALAR_SAMPLES)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
 
     if np.any(dgm(us) <= 0) or np.any(dgp(us) <= 0):
@@ -200,7 +203,6 @@ def build_p_system_model(
     dp_minus: Callable | None = None,
     dp_plus: Callable | None = None,
     delta0: float | None = None,
-    samples: int = 24,
     name: str = "p-system",
 ) -> SystemCouplingModel:
     """Two p-systems with pressure laws p_+-(tau), coupled by averaging the
@@ -210,7 +212,7 @@ def build_p_system_model(
     dpm = dp_minus or finite_difference(p_minus)
     dpp = dp_plus or finite_difference(p_plus)
 
-    taus = np.linspace(tau_domain[0], tau_domain[1], samples)
+    taus = np.linspace(tau_domain[0], tau_domain[1], P_SYSTEM_SAMPLES)
     if np.any(dpm(taus) >= 0) or np.any(dpp(taus) >= 0):
         raise ModelConstructionError("p'_+- must be negative on tau_domain (hyperbolicity)")
 
@@ -241,8 +243,8 @@ def build_p_system_model(
     def make(d0: float) -> SystemCouplingModel:
         # speed bands over the state ball x color interval
         tgrid = np.linspace(max(tau_domain[0], tau0 - d0),
-                            min(tau_domain[1], tau0 + d0), samples)
-        vgrid = np.linspace(-1.0, 1.0, samples)
+                            min(tau_domain[1], tau0 + d0), P_SYSTEM_SAMPLES)
+        vgrid = np.linspace(-1.0, 1.0, P_SYSTEM_SAMPLES)
         TT, VV = np.meshgrid(tgrid, vgrid, indexing="ij")
         c = np.sqrt(-pbar_prime(TT, VV))
         lam_low = np.array([-c.max(), c.min()])
@@ -265,7 +267,7 @@ def build_p_system_model(
     # across sampled state pairs
     model = make(delta0)
     for _ in range(12):
-        worst_diag, worst_off = _near_orthogonality(model, samples, seed=0)
+        worst_diag, worst_off = _near_orthogonality(model, P_SYSTEM_SAMPLES)
         if worst_diag >= 1.0 - model.delta0 and worst_off <= model.delta0:
             break
         model = make(model.delta0 * 0.6)
@@ -273,7 +275,7 @@ def build_p_system_model(
         raise ModelConstructionError("could not find a state ball satisfying "
                                      "eigenvector near-orthogonality")
     from .spectral import estimate_eta_nu
-    eta, nu = estimate_eta_nu(model, sample_count=samples)
+    eta, nu = estimate_eta_nu(model)
     return dataclasses.replace(model, eta=float(eta), nu=float(nu))
 
 
@@ -310,7 +312,7 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
         name=model.name + "-as-system",
     )
     from .spectral import estimate_eta_nu
-    eta, nu = estimate_eta_nu(sys_model, sample_count=24)
+    eta, nu = estimate_eta_nu(sys_model)
     return dataclasses.replace(sys_model, eta=float(eta), nu=float(nu))
 
 
@@ -322,14 +324,13 @@ def _check(name: str, extremal: float, passed: bool) -> dict:
     return {"name": name, "extremal": float(extremal), "passed": bool(passed)}
 
 
-def validate_hypotheses(model, sample_count: int = 64, seed: int = 0) -> dict:
-    """Sampled verification of the structural hypotheses; failures are report
-    entries, never exceptions, and the report is deterministic for a fixed
-    sample_count and seed."""
+def validate_hypotheses(model) -> dict:
+    """Sampled verification of the structural hypotheses on a fixed,
+    deterministic sample; failures are report entries, never exceptions."""
     if isinstance(model, ScalarCouplingModel):
-        checks = _validate_scalar(model, sample_count)
+        checks = _validate_scalar(model, HYPOTHESIS_SAMPLES)
     elif isinstance(model, SystemCouplingModel):
-        checks = _validate_system(model, sample_count, seed)
+        checks = _validate_system(model, HYPOTHESIS_SAMPLES)
     else:
         raise TypeError(f"unknown model type {type(model)!r}")
     return {"model": model.name, "checks": checks,
@@ -368,35 +369,46 @@ def _validate_scalar(model: ScalarCouplingModel, n: int) -> list[dict]:
     ]
 
 
-def _near_orthogonality(model: SystemCouplingModel, n: int, seed: int,
-                        ) -> tuple[float, float]:
+def _abs_det_A0(model: SystemCouplingModel, U, v) -> np.ndarray:
+    """|det A0| at the stacked points (U, v).  Only points where it exceeds
+    A0_DET_FLOOR reach ``model.pencil``, which inverts A0."""
+    return np.abs(np.linalg.det(np.asarray(model.A0(U, v), dtype=float)))
+
+
+def _near_orthogonality(model: SystemCouplingModel, n: int) -> tuple[float, float]:
     """Worst sampled l_i(u1).r_i(u2) diagonal and off-diagonal magnitudes
     across state pairs in the ball (hypothesis of approximate biorthogonality
-    uniformly over the ball); pairs without a real spectrum are skipped."""
+    uniformly over the ball), l_i the rows of R(u1)^-T; pairs without an
+    invertible A0 or a real spectrum are skipped."""
     from .spectral import eig_decomposition
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = model.ball_samples(n)
     pair_idx = rng.integers(0, len(pts), size=(min(32, n), 2))
     v = rng.uniform(-1.0, 1.0, size=len(pair_idx))
-    _, _, l1, real1 = eig_decomposition(model.pencil(pts[pair_idx[:, 0]], v)[0])
-    _, r2, _, real2 = eig_decomposition(model.pencil(pts[pair_idx[:, 1]], v)[0])
+    u1, u2 = pts[pair_idx[:, 0]], pts[pair_idx[:, 1]]
+    ok = np.minimum(_abs_det_A0(model, u1, v), _abs_det_A0(model, u2, v)) > A0_DET_FLOOR
+    _, r1, real1 = eig_decomposition(model.pencil(u1[ok], v[ok])[0])
+    _, r2, real2 = eig_decomposition(model.pencil(u2[ok], v[ok])[0])
+    l1 = np.linalg.inv(np.swapaxes(r1, -1, -2))
     cross = (l1 @ np.swapaxes(r2, -1, -2))[real1 & real2]
     off = np.where(np.eye(model.N, dtype=bool), 0.0, cross)
     return (float(np.diagonal(cross, axis1=-2, axis2=-1).min(initial=1.0)),
             float(np.abs(off).max(initial=0.0)))
 
 
-def _validate_system(model: SystemCouplingModel, n: int, seed: int) -> list[dict]:
+def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
     from .spectral import eig_decomposition
 
     vs = np.linspace(-1.0, 1.0, 9)
     # every (state, color) sample, states outer
     U = np.repeat(model.ball_samples(n), len(vs), axis=0)
     V = np.tile(vs, n)
-    min_det = np.abs(np.linalg.det(np.asarray(model.A0(U, V), dtype=float))).min()
-    A, B, _ = model.pencil(U, V)
-    lam, _, _, real = eig_decomposition(A)
+    det = _abs_det_A0(model, U, V)
+    # a singular A0 fails the first check; its samples skip the others
+    ok = det > A0_DET_FLOOR
+    A, B, _ = model.pencil(U[ok], V[ok])
+    lam, _, real = eig_decomposition(A)
     hyperbolic = bool(real.all())
     dev = np.maximum(model.lam_low - lam, lam - model.lam_high).max(axis=-1)[real]
     worst_band = dev.max(initial=0.0)
@@ -407,10 +419,10 @@ def _validate_system(model: SystemCouplingModel, n: int, seed: int) -> list[dict
     gaps = model.lam_low[1:] - model.lam_high[:-1] if model.N > 1 else np.array([np.inf])
 
     # eigenvector near-orthogonality across state pairs in the ball
-    worst_diag, worst_off = _near_orthogonality(model, n, seed)
+    worst_diag, worst_off = _near_orthogonality(model, n)
 
     return [
-        _check("A0 invertible on samples", min_det, min_det > 1e-12),
+        _check("A0 invertible on samples", det.min(), bool(ok.all())),
         _check("real separated eigenvalues", float(hyperbolic), hyperbolic),
         _check("eigenvalues inside bands", worst_band, band_ok),
         _check("bands disjoint", float(gaps.min()), bool(gaps.min() > 0)),

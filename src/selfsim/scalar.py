@@ -148,6 +148,9 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
 
     jump = abs(u_right - u_left)
     scale = jump if jump > 0 else 1.0
+    # T(u) - u cannot fall below the spacing of the doubles at the data, so a
+    # jump of a few spacings stops there instead of at fix_tol * jump
+    tol = max(config.fix_tol, float(np.spacing(max(abs(u_left), abs(u_right)))) / scale)
     if initial is not None:
         # warm start: interpolate onto this grid, re-pin the boundary data
         vals = np.interp(xi, initial.xi, initial.values)
@@ -171,7 +174,7 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
         f = u_new.values - u.values
         res = float(np.max(np.abs(f))) / scale
         residuals.append(res)
-        if res <= config.fix_tol:
+        if res <= tol:
             u = u_new
             break
         if res < best:

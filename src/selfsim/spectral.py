@@ -6,11 +6,12 @@ Euclidean norm and left covectors l_hat_i satisfying l_hat_i . (B r_hat_j) =
 delta_ij.  The derived quantities lambda_hat_i = r_hat_i . A r_hat_i and
 d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 
-All of it is computed by one kernel, ``pencil_eigen``, on stacked points with
-stacked LAPACK calls, from pencil matrices the caller formed once with
-``SystemCouplingModel.pencil``; ``eigen_fields`` forms them from a model and
-adds the per-point residual, and ``solve_generalized_eigen`` is its n = 1
-case.  ``eigenvector_derivative`` differentiates r_hat by first-order
+``eig_decomposition`` is the one eigensolve: stacked matrices in, sorted
+eigenvalues, unit eigenvectors with a sign rule and a realness mask out.
+``pencil_eigen`` builds the pencil's eigendata on it, at stacked points, from
+pencil matrices the caller formed once with ``SystemCouplingModel.pencil``;
+``solve_generalized_eigen`` is its single-point form, which adds the pencil
+residual.  ``eigenvector_derivative`` differentiates r_hat by first-order
 perturbation of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve,
 along the derivatives of ``matrix_derivatives``, which inverts A0 only at
 the base points (product rule).
@@ -18,7 +19,7 @@ the base points (product rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +32,7 @@ GAP_FLOOR = 1e-8
 # central-difference step of the model matrices A0, A1, B0: state (x delta0)
 # and color
 MATRIX_STEP = 1e-5
+ETA_NU_SAMPLES = 24  # ball states sampled by ``estimate_eta_nu``
 
 
 class HyperbolicityError(ValueError):
@@ -50,9 +52,9 @@ class SpectralData:
     l_hat: np.ndarray         # (..., N, N), row i = left covector of family i
     lambda_hat: np.ndarray    # (..., N)
     d: np.ndarray             # (..., N)
-    # (...,) 2-norm of the pencil residual; None from ``pencil_eigen``, whose
-    # callers do not read it
-    residual: np.ndarray | None
+    # 2-norm of the pencil residual, computed only by
+    # ``solve_generalized_eigen``; None from ``pencil_eigen``
+    residual: float | None
 
 
 def _fix_signs(R: np.ndarray) -> np.ndarray:
@@ -62,18 +64,11 @@ def _fix_signs(R: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(R, k, axis=-2) < 0, -R, R)
 
 
-def _signs(dots: np.ndarray) -> np.ndarray:
-    s = np.sign(dots)
-    s[s == 0] = 1.0
-    return s
-
-
-def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted eigenvalues of the stacked matrices A (..., N, N) with unit
-    right eigenvectors (rows) and left covectors (rows) normalized so that
-    l_i . r_j = delta_ij, and the mask (...,) of matrices whose spectrum is
-    real.  Where it is not, the eigenvalues are the real parts and the
-    vectors are those of the identity."""
+def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted eigenvalues of the stacked matrices A (..., N, N), their unit
+    eigenvectors (rows, largest-|.| component positive), and the mask (...,)
+    of matrices whose spectrum is real.  Where it is not, the eigenvalues are
+    the real parts and the vectors are those of the identity."""
     w, V = np.linalg.eig(np.asarray(A, dtype=float))
     real = np.max(np.abs(w.imag), axis=-1) <= 1e-9 * np.maximum(
         1.0, np.max(np.abs(w.real), axis=-1))
@@ -81,15 +76,14 @@ def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     order = np.argsort(w.real, axis=-1)
     V = np.take_along_axis(V, order[..., None, :], axis=-1)
     V = _fix_signs(V / np.linalg.norm(V, axis=-2, keepdims=True))
-    return (np.take_along_axis(w.real, order, axis=-1), np.swapaxes(V, -1, -2),
-            np.linalg.inv(V), real)
+    return np.take_along_axis(w.real, order, axis=-1), np.swapaxes(V, -1, -2), real
 
 
 def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     """Eigendata of the pencil (-xi I + A, B), given its matrices A, B
-    (n, N, N) at the stacked points (U[k], v[k], xi[k]); the points only name
-    the first non-hyperbolic one in a HyperbolicityError.  ``residual`` is
-    None.
+    (n, N, N) at the stacked points (U[k], v[k], xi[k]), from
+    ``eig_decomposition`` of B^-1 (-xi I + A); the points only name the first
+    non-hyperbolic one in a HyperbolicityError.  ``residual`` is None.
 
     Eigenvector signs are fixed per point (largest component positive) and
     then continued along the points: each r_hat_i is flipped so that
@@ -97,14 +91,11 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     eigenvectors.
     """
     shifted = -xi[:, None, None] * np.eye(A.shape[-1]) + A
-    w, V = np.linalg.eig(np.linalg.solve(B, shifted))
-    bad = np.max(np.abs(w.imag), axis=1) > 1e-9 * np.maximum(
-        1.0, np.max(np.abs(w.real), axis=1))
-    if bad.any():
-        k = int(np.argmax(bad))
+    _, R, real = eig_decomposition(np.linalg.solve(B, shifted))
+    if not real.all():
+        k = int(np.argmin(real))
         raise HyperbolicityError(U[k], v[k], xi[k])
-    V = V.real
-    V = _fix_signs(V / np.linalg.norm(V, axis=-2, keepdims=True))
+    V = np.swapaxes(R, 1, 2)
 
     lam_hat = np.einsum("nji,njk,nki->ni", V, A, V)
     order = np.argsort(lam_hat, axis=1)
@@ -117,25 +108,11 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
 
     R = np.swapaxes(V, 1, 2)
     flips = np.ones_like(mu)
-    flips[1:] = np.cumprod(_signs(np.einsum("nij,nij->ni", R[:-1], R[1:])), axis=0)
+    dots = np.einsum("nij,nij->ni", R[:-1], R[1:])
+    flips[1:] = np.cumprod(np.where(dots < 0, -1.0, 1.0), axis=0)
     return SpectralData(mu=mu, r_hat=R * flips[:, :, None],
                         l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d,
                         residual=None)
-
-
-def eigen_fields(model: SystemCouplingModel, U, v, xi) -> SpectralData:
-    """Eigendata of the model's pencil at the stacked points (U[k], v[k],
-    xi[k]), by ``pencil_eigen``, with the per-point residual
-    |(-xi I + A) R - B R diag(mu)|_2, R the matrix of columns r_hat_i."""
-    U = np.asarray(U, dtype=float).reshape(-1, model.N)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    A, B, _ = model.pencil(U, v)
-    data = pencil_eigen(A, B, U, v, xi)
-    R = np.swapaxes(data.r_hat, 1, 2)
-    shifted = -xi[:, None, None] * np.eye(model.N) + A
-    residual = np.linalg.norm(shifted @ R - (B @ R) * data.mu[:, None, :], 2, axis=(1, 2))
-    return replace(data, residual=residual)
 
 
 def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
@@ -184,31 +161,40 @@ def matrix_derivatives(model: SystemCouplingModel, U, v, steps, pencil) -> tuple
 
 
 def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) -> SpectralData:
-    """Eigendata at one point: ``eigen_fields`` with n = 1."""
-    data = eigen_fields(model, u, v, xi)
-    point = {f.name: getattr(data, f.name)[0] for f in fields(SpectralData)}
-    point["residual"] = float(point["residual"])
-    return SpectralData(**point)
+    """Eigendata at one point, by ``pencil_eigen``, with the pencil residual
+    |(-xi I + A) R - B R diag(mu)|_2, R the matrix of columns r_hat_i."""
+    U = np.asarray(u, dtype=float).reshape(1, model.N)
+    v, xi = np.array([v], dtype=float), np.array([xi], dtype=float)
+    A, B, _ = model.pencil(U, v)
+    data = pencil_eigen(A, B, U, v, xi)
+    R = data.r_hat[0].T
+    residual = np.linalg.norm((-xi * np.eye(model.N) + A[0]) @ R - (B[0] @ R) * data.mu[0], 2)
+    point = {name: a[0] for name, a in vars(data).items() if name != "residual"}
+    return SpectralData(**point, residual=float(residual))
 
 
-def estimate_eta_nu(model: SystemCouplingModel, sample_count: int = 24) -> tuple[float, float]:
+def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     """eta = max sampled operator-norm distance of B from the identity, over
     the colors of the hypothesis check, which include v = +-1;
     nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by pencil perturbation at
-    interior colors, where the central difference in v stays in [-1, 1]."""
-    pts = model.ball_samples(sample_count)
+    interior colors, where the central difference in v stays in [-1, 1].
+    The pencil and its derivatives are formed once per (state, color) sample
+    and repeated over the xi samples."""
+    pts = model.ball_samples(ETA_NU_SAMPLES)
     colors = np.linspace(-1.0, 1.0, 9)
     _, B, _ = model.pencil(np.repeat(pts, len(colors), axis=0), np.tile(colors, len(pts)))
     eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
 
     vs = np.linspace(-1.0 + MATRIX_STEP, 1.0 - MATRIX_STEP, 9)
     xis = np.linspace(-model.M, model.M, 5)
-    # the (state, color, xi) sample grid, flattened in that order
-    i, j, k = np.indices((len(pts), len(vs), len(xis))).reshape(3, -1)
-    U, v, xi = pts[i], vs[j], xis[k]
-    A, B, _ = pencil = model.pencil(U, v)
-    base = pencil_eigen(A, B, U, v, xi)
+    # the (state, color) points, states outer, and the (state, color, xi)
+    # samples, flattened in that order
+    U, v = np.repeat(pts, len(vs), axis=0), np.tile(vs, len(pts))
+    pencil = model.pencil(U, v)
     dA, dB = matrix_derivatives(model, U, v, MATRIX_STEP * np.eye(model.N + 1)[-1:], pencil)
+    A, B, dA, dB = (np.repeat(m, len(xis), axis=-3) for m in (*pencil[:2], dA, dB))
+    U, v, xi = np.repeat(U, len(xis), axis=0), np.repeat(v, len(xis)), np.tile(xis, len(U))
+    base = pencil_eigen(A, B, U, v, xi)
     dR = np.swapaxes(eigenvector_derivative(base, dA, dB, U, v, xi), -1, -2)
     nu = np.abs(base.l_hat @ (dB @ np.swapaxes(base.r_hat, 1, 2) + B @ dR)).max()
     return float(eta), float(nu)

@@ -15,7 +15,7 @@ its family plus a small correction.  The solve is a three-level fixed point:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -298,8 +298,8 @@ class SystemSolveState:
     delta: float
     contraction_estimates: tuple[float, ...]
     eps: float
-    u_left: np.ndarray = field(default=None)
-    u_right: np.ndarray = field(default=None)
+    u_left: np.ndarray
+    u_right: np.ndarray
 
 
 def admissible_jump_radius(model: SystemCouplingModel, delta: float) -> float:

@@ -187,6 +187,15 @@ def test_solve_system_rejects_data_of_the_wrong_dimension(tmp_path, capsys):
         assert "N = 2" in err
 
 
+def test_spectral_sweep_rejects_a_state_of_the_wrong_dimension(tmp_path, capsys):
+    code, out = _run(tmp_path, "spectral-sweep", "--model", "p-system",
+                     "--eps", "0.1", "--u", "1.25")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error: --u has shape (1,)" in err and "N = 2" in err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_spectral_sweep_artifacts(tmp_path):
     code, out = _run(tmp_path, "spectral-sweep", "--model", "p-system",
                      "--eps", "0.1", "--grid", "128")

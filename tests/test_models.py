@@ -71,8 +71,8 @@ def test_validate_hypotheses_system(p_system):
 
 
 def test_validate_hypotheses_is_deterministic(p_system):
-    a = validate_hypotheses(p_system, sample_count=32, seed=3)
-    b = validate_hypotheses(p_system, sample_count=32, seed=3)
+    a = validate_hypotheses(p_system)
+    b = validate_hypotheses(p_system)
     assert a == b
 
 
@@ -97,6 +97,23 @@ def test_validate_hypotheses_reports_complex_eigenvalues():
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["real separated eigenvalues"]["passed"] is False
     assert checks["|B - I| <= eta"]["passed"] is True
+    assert report["passed"] is False
+
+
+def test_validate_hypotheses_reports_a_singular_A0(p_system):
+    # A0 = diag(v, 1) is singular at v = 0, one of the sampled colors: the
+    # report says so, and no sample reaches the inversion of A0
+    def A0(u, v):
+        v = np.broadcast_to(np.asarray(v, dtype=float), np.shape(u)[:-1])
+        out = np.zeros(v.shape + (2, 2))
+        out[..., 0, 0] = v
+        out[..., 1, 1] = 1.0
+        return out
+
+    report = validate_hypotheses(dataclasses.replace(p_system, A0=A0))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["A0 invertible on samples"] == {
+        "name": "A0 invertible on samples", "extremal": 0.0, "passed": False}
     assert report["passed"] is False
 
 

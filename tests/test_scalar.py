@@ -60,6 +60,16 @@ def test_constant_data_is_a_fixed_point(burgers):
     assert sol.tv_u == 0.0
 
 
+def test_jump_of_one_double_spacing_converges(burgers):
+    # the profile can only take the two data values, so T(u) - u cannot fall
+    # below their spacing: a stop at fix_tol * jump is never reached
+    uL, uR = 1.3999999999999997, 1.4
+    assert uR - uL == np.spacing(uL)
+    sol = _solve(burgers, uL, uR, eps=0.1, grid_size=800)
+    assert sol.monotone and sol.tv_u <= uR - uL
+    assert np.all((sol.u.values == uL) | (sol.u.values == uR))
+
+
 def test_domain_violation_rejected(burgers):
     with pytest.raises(ValueError):
         _solve(burgers, 2.0, 0.0)

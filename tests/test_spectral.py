@@ -1,6 +1,7 @@
 """Generalized eigenstructure: exact identities and sign continuity."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -9,17 +10,26 @@ from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
 from selfsim.models import SystemCouplingModel, validate_hypotheses
 from selfsim.spectral import (HyperbolicityError, eig_decomposition,
-                              eigen_fields, eigenvector_derivative,
-                              estimate_eta_nu, matrix_derivatives,
+                              eigenvector_derivative, estimate_eta_nu,
+                              matrix_derivatives, pencil_eigen,
                               solve_generalized_eigen)
+from selfsim.system import assemble_coefficients
 
 
-def test_eig_decomposition_biorthogonal():
+def _eigen(model, U, v, xi):
+    """The model's pencil at the stacked points, through the kernel."""
+    A, B, _ = model.pencil(U, v)
+    return pencil_eigen(A, B, U, v, xi)
+
+
+def test_eig_decomposition_eigenpairs():
     A = np.array([[0.0, -1.0], [-0.7, 0.0]])
-    w, R, L, real = eig_decomposition(A)
+    w, R, real = eig_decomposition(A)
     assert real and np.all(np.diff(w) > 0)
-    np.testing.assert_allclose(L @ R.T, np.eye(2), atol=1e-14)
+    for i in range(2):
+        np.testing.assert_allclose(A @ R[i], w[i] * R[i], atol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(R, axis=1), 1.0, rtol=1e-14)
+    assert np.all(R[np.arange(2), np.abs(R).argmax(axis=1)] > 0)
 
 
 def test_pencil_identities_p_system(p_system):
@@ -67,7 +77,7 @@ def test_sweep_is_sign_continuous(p_system):
     # sign flips; the continuation along the points must undo that flip
     U_path = np.column_stack([np.linspace(0.8, 1.4, len(xi)), np.zeros(len(xi))])
     for U, v in ((U, v), (U_path, np.zeros(len(xi)))):
-        sweep = eigen_fields(p_system, U, v, xi)
+        sweep = _eigen(p_system, U, v, xi)
         # eigenvectors vary continuously: no sign jumps along the grid
         dots = np.einsum("nij,nij->ni", sweep.r_hat[1:], sweep.r_hat[:-1])
         assert dots.min() > 0.9
@@ -83,8 +93,8 @@ def test_kernel_matches_eig_decomposition_for_identity_viscosity(p_system):
     U = p_system.ball_samples(50)
     v = rng.uniform(-1.0, 1.0, 50)
     xi = rng.uniform(-p_system.M, p_system.M, 50)
-    data = eigen_fields(p_system, U, v, xi)
-    w, R, _, real = eig_decomposition(p_system.pencil(U, v)[0])
+    data = _eigen(p_system, U, v, xi)
+    w, R, real = eig_decomposition(p_system.pencil(U, v)[0])
     assert real.all()
     np.testing.assert_allclose(data.mu, w - xi[:, None], atol=1e-12)
     np.testing.assert_allclose(data.mu, data.lambda_hat - xi[:, None], atol=1e-12)
@@ -93,9 +103,39 @@ def test_kernel_matches_eig_decomposition_for_identity_viscosity(p_system):
 
 
 def test_estimate_eta_nu_identity_viscosity(p_system):
-    eta, nu = estimate_eta_nu(p_system, sample_count=8)
+    eta, nu = estimate_eta_nu(p_system)
     assert eta == 0.0
     assert 0.0 < nu < 1.0  # eigenvectors genuinely rotate in v
+
+
+def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
+    # 24 ball states x 9 colors: the pencil for eta, the pencil for nu at the
+    # interior colors, and its two color shifts; none is formed per xi sample
+    calls = []
+
+    def A0(u, v):
+        calls.append(len(v))
+        return p_system.A0(u, v)
+
+    estimate_eta_nu(dataclasses.replace(p_system, A0=A0))
+    assert calls == [216, 216, 432]
+
+
+def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):
+    # one assembly (one eigensolve) and one hypothesis check (three)
+    eig, callers = np.linalg.eig, []
+
+    def counted(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    n = 64
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
+                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+    validate_hypotheses(p_system)
+    assert callers == ["eig_decomposition"] * 4
 
 
 @pytest.mark.parametrize("c", [0.05, 0.2, 0.5])
@@ -176,7 +216,7 @@ def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
     U = p_system.ball_samples(30)
     v = rng.uniform(-0.9, 0.9, 30)
     xi = rng.uniform(-p_system.M, p_system.M, 30)
-    data = eigen_fields(p_system, U, v, xi)
+    data = _eigen(p_system, U, v, xi)
     pencil = p_system.pencil(U, v)
     dA, dB = matrix_derivatives(p_system, U, v, [[0.0, 0.0, 1e-5], [1e-5, 0.0, 0.0]], pencil)
     dR = eigenvector_derivative(data, dA, dB, U, v, xi)
@@ -205,7 +245,7 @@ def test_coincident_speeds_raise_typed_error():
         eta=0.0, nu=0.0, M=1.0, u_ref=np.zeros(2))
     U = np.array([[0.01, 0.0], [0.0, 0.02]])
     v, xi = np.array([0.3, -0.2]), np.array([0.5, 0.1])
-    data = eigen_fields(model, U, v, xi)
+    data = _eigen(model, U, v, xi)
     np.testing.assert_array_equal(data.mu, -xi[:, None] * np.ones(2))
     with pytest.raises(HyperbolicityError, match="coincident speeds") as err:
         eigenvector_derivative(data, -eye, np.zeros((2, 2)), U, v, xi)

@@ -10,7 +10,7 @@ from selfsim.color import ColorProfile
 from selfsim.models import build_scalar_model, system_from_scalar
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
-from selfsim.spectral import eigen_fields, pencil_eigen
+from selfsim.spectral import pencil_eigen
 from selfsim.system import (SmallnessViolation, SystemSolveConfig,
                             admissible_jump_radius, assemble_coefficients,
                             build_measures, correction_map, envelope_bound,
@@ -74,11 +74,15 @@ def _resonant_p_system(p_system):
 def _difference_reference(model, U, v, xi, h):
     """eta_pi, kappa and sigma by central differences of whole eigensolves,
     each shifted r_hat matched in sign to the base point by hand."""
-    base = eigen_fields(model, U, v, xi)
+    def eigen(U, v, xi):
+        A, B, _ = model.pencil(U, v)
+        return pencil_eigen(A, B, U, v, xi)
+
+    base = eigen(U, v, xi)
     L = base.l_hat
 
     def cols(dU, dv, dxi):
-        shifted = eigen_fields(model, U + dU, v + dv, xi + dxi)
+        shifted = eigen(U + dU, v + dv, xi + dxi)
         flips = np.sign(np.einsum("nij,nij->ni", base.r_hat, shifted.r_hat))
         return np.swapaxes(shifted.r_hat * flips[..., None], 1, 2)
 
