@@ -248,12 +248,27 @@ def l1_distance(a: GridFunction, b: GridFunction) -> float:
 # ladder continuation and traces
 
 
+def _far_from(sample: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the ``sample`` values farther than ``radius`` from every one of
+    the increasing ``points``.  The nearest point is one of the two
+    neighbours ``searchsorted`` finds, and rounded subtraction is monotone,
+    so this is the all-pairs test ``np.all(|sample - points| > radius)``
+    exactly, in O(len(sample) + len(points)) memory."""
+    if not len(points):
+        return np.ones(len(sample), dtype=bool)
+    i = np.searchsorted(points, sample)
+    lo = points[np.maximum(i - 1, 0)]
+    hi = points[np.minimum(i, len(points) - 1)]
+    return np.minimum(np.abs(sample - lo), np.abs(sample - hi)) > radius
+
+
 def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
                          u_left: float, u_right: float,
                          eps_ladder: Sequence[float]) -> dict:
     """Warm-started solves along a strictly decreasing eps ladder with
     pairwise L1 distances, TV trace, and a pointwise-Cauchy verdict away from
-    steep-wave neighborhoods; ``solutions`` holds the converged solves."""
+    steep-wave neighborhoods (``pointwise_samples`` of its 401 samples are
+    kept); ``solutions`` holds the converged solves."""
     eps_ladder = [float(e) for e in eps_ladder]
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
@@ -276,18 +291,19 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
 
     distances = [l1_distance(a.u, b.u) for a, b in zip(solutions, solutions[1:])]
 
-    # pointwise comparison away from steep waves of the finest solution
+    # pointwise comparison away from steep waves of the finest solution; a
+    # profile without a jump has no steep wave, only gradient rounding noise
     cauchy_sups = []
+    kept = 0
     if len(solutions) >= 2:
         fine = solutions[-1]
         du = np.abs(np.gradient(fine.u.values, fine.u.xi))
-        jump = max(abs(u_right - u_left), 1e-30)
-        steep = fine.u.xi[du * fine.eps > 0.1 * jump]
+        jump = abs(u_right - u_left)
+        steep = fine.u.xi[du * fine.eps > 0.1 * jump] if jump else fine.u.xi[:0]
         radius = 10.0 * eps_ladder[0] ** config.p
         sample = np.linspace(-fine.u.M, fine.u.M, 401)
-        if len(steep):
-            keep = np.all(np.abs(sample[:, None] - steep[None, :]) > radius, axis=1)
-            sample = sample[keep]
+        sample = sample[_far_from(sample, steep, radius)]
+        kept = len(sample)
         for a, b in zip(solutions, solutions[1:]):
             cauchy_sups.append(float(np.max(np.abs(a.u(sample) - b.u(sample))))
                                if len(sample) else 0.0)
@@ -303,6 +319,7 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
         "l1_cauchy": nonincreasing(distances) if distances else True,
         "pointwise_sups": cauchy_sups,
         "pointwise_cauchy": nonincreasing(cauchy_sups) if cauchy_sups else True,
+        "pointwise_samples": kept,
         "tv_trace": [r["tv"] for r in records],
         "solutions": solutions,
     }

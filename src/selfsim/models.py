@@ -398,7 +398,7 @@ def _near_orthogonality(model: SystemCouplingModel, n: int) -> tuple[float, floa
 
 
 def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
-    from .spectral import eig_decomposition
+    from .spectral import GAP_FLOOR, eig_decomposition
 
     vs = np.linspace(-1.0, 1.0, 9)
     # every (state, color) sample, states outer
@@ -409,7 +409,12 @@ def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
     ok = det > A0_DET_FLOOR
     A, B, _ = model.pencil(U[ok], V[ok])
     lam, _, real = eig_decomposition(A)
-    hyperbolic = bool(real.all())
+    # smallest gap of the sorted speeds relative to max(1, max |lambda|), the
+    # scale of eigenvector_derivative's coincidence floor; 0 where a sample
+    # has a complex pair
+    gap = (np.diff(lam, axis=-1).min(axis=-1, initial=np.inf)
+           / np.maximum(1.0, np.abs(lam).max(axis=-1)))
+    min_gap = gap.min(initial=np.inf) if real.all() else 0.0
     dev = np.maximum(model.lam_low - lam, lam - model.lam_high).max(axis=-1)[real]
     worst_band = dev.max(initial=0.0)
     band_ok = bool(np.all(dev <= 1e-9))
@@ -423,7 +428,7 @@ def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
 
     return [
         _check("A0 invertible on samples", det.min(), bool(ok.all())),
-        _check("real separated eigenvalues", float(hyperbolic), hyperbolic),
+        _check("real separated eigenvalues", min_gap, min_gap >= GAP_FLOOR),
         _check("eigenvalues inside bands", worst_band, band_ok),
         _check("bands disjoint", float(gaps.min()), bool(gaps.min() > 0)),
         _check("|B - I| <= eta", max_bnorm, max_bnorm <= model.eta + 1e-9),

@@ -240,6 +240,17 @@ def test_continuation_artifacts(tmp_path):
     assert (out / "l1_distances.csv").exists()
 
 
+def test_zero_jump_continuation_keeps_every_pointwise_sample(tmp_path):
+    # a constant profile has no steep wave: the gradient's rounding noise
+    # must not prune the 401 samples of the pointwise Cauchy verdict
+    code, out = _run(tmp_path, "continuation", "--model", "linear-advection-pair",
+                     "--eps-ladder", "0.1,0.05", "--uL", "-1.4", "--uR", "-1.4")
+    assert code == 0
+    report = json.loads((out / "continuation.json").read_text())
+    assert report["pointwise_samples"] == 401
+    assert report["pointwise_sups"] == [0.0]
+
+
 def test_system_continuation_is_solve_system_per_rung(tmp_path):
     data = ["--model", "p-system", "--uL", "1.249,0.0", "--uR", "1.251,0.0"]
     code, out = _run(tmp_path / "ladder", "continuation", *data,

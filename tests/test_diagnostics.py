@@ -1,11 +1,13 @@
 """Weak residuals, the exact Riemann oracle, continuation, and traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfsim.diagnostics import (bump_family, epsilon_continuation,
+from selfsim.diagnostics import (_far_from, bump_family, epsilon_continuation,
                                  exact_scalar_riemann, interface_trace_report,
                                  kruzhkov_entropies, l1_distance,
                                  riemann_soundness, weak_residual_report)
@@ -123,6 +125,37 @@ def test_continuation_ladder(burgers):
     assert all(b < a for a, b in zip(report["l1_distances"],
                                      report["l1_distances"][1:])) or \
         len(report["l1_distances"]) < 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(points=st.lists(st.floats(-6.0, 6.0), max_size=60),
+       M=st.floats(0.5, 3.0), radius=st.floats(0.0, 4.0),
+       pick=st.none() | st.tuples(st.integers(0, 400), st.integers(0, 59)))
+@example(points=[0.3], M=2.5, radius=0.5, pick=None)
+@example(points=[-7.0, -2.6, 2.7, 9.0], M=2.5, radius=0.25, pick=None)
+@example(points=[-1.0, 0.1, 0.1, 2.0], M=2.5, radius=0.0, pick=(200, 1))
+def test_far_from_matches_the_all_pairs_test(points, M, radius, pick):
+    # ``pick`` sets the radius to one sample-to-point distance, so that
+    # sample lies exactly radius away from a steep point
+    sample = np.linspace(-M, M, 401)
+    points = np.sort(np.array(points, dtype=float))
+    if pick is not None and len(points):
+        radius = abs(sample[pick[0]] - points[pick[1] % len(points)])
+    dense = np.all(np.abs(sample[:, None] - points[None, :]) > radius, axis=1)
+    np.testing.assert_array_equal(_far_from(sample, points, radius), dense)
+
+
+def test_far_from_memory_does_not_grow_with_the_steep_set():
+    # the all-pairs test would allocate 401 x 8000 doubles (about 25 MiB)
+    sample = np.linspace(-2.5, 2.5, 401)
+    points = np.linspace(-2.0, 2.0, 8000)
+    tracemalloc.start()
+    try:
+        _far_from(sample, points, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_continuation_rejects_bad_ladder(burgers):

@@ -100,6 +100,24 @@ def test_validate_hypotheses_reports_complex_eigenvalues():
     assert report["passed"] is False
 
 
+def test_validate_hypotheses_reports_coincident_eigenvalues():
+    # A1 = 0 and A0 = B0 = I: both speeds are 0 at every sample, real but
+    # not separated
+    def eye(u, v):
+        return np.broadcast_to(np.eye(2), np.shape(u)[:-1] + (2, 2))
+
+    def zero(u, v):
+        return np.zeros(np.shape(u)[:-1] + (2, 2))
+
+    model = SystemCouplingModel(
+        N=2, A0=eye, A1=zero, B0=eye, delta0=0.4,
+        lam_low=np.array([-1.0, 0.1]), lam_high=np.array([-0.1, 1.0]),
+        eta=0.0, nu=0.0, M=1.5, u_ref=np.array([1.0, 0.0]), name="coincident")
+    checks = {c["name"]: c for c in validate_hypotheses(model)["checks"]}
+    assert checks["real separated eigenvalues"] == {
+        "name": "real separated eigenvalues", "extremal": 0.0, "passed": False}
+
+
 def test_validate_hypotheses_reports_a_singular_A0(p_system):
     # A0 = diag(v, 1) is singular at v = 0, one of the sampled colors: the
     # report says so, and no sample reaches the inversion of A0
