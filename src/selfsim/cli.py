@@ -309,6 +309,7 @@ def _solve_system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
         "tv_per_jump": state.tv_u / jump if jump > 0 else 0.0,
         "sup_eps_du": state.sup_eps_du,
         "boundary_residual": state.boundary_residual,
+        "equation_residual": state.equation_residual,
         "outer_iterations": state.outer_iterations,
         "beta": state.beta, "envelope_constant": state.envelope_constant,
     }

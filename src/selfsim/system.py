@@ -1,9 +1,12 @@
 """Small-system self-similar viscous Riemann solver.
 
 The state derivative is decomposed in the generalized eigenbasis,
-A0 u_xi = sum_j a_j r_hat_j, and each characteristic coefficient is written as
-a_i = tau_i phi*_i + theta_i: a wave strength times the fundamental measure of
-its family plus a small correction.  The solve is a three-level fixed point:
+A0 u_xi = sum_j a_j r_hat_j.  Projecting the profile equation on l_hat_i gives
+eps a_i' = mu_i a_i - eps sum_j a_j l_hat_i . (B r_hat_j)', where the total
+derivative runs along xi, along u at the rate u_xi and along the color at the
+rate psi.  Each characteristic coefficient is written as a_i = tau_i phi*_i +
+theta_i: a wave strength times the fundamental measure of its family plus a
+small correction.  The solve is a three-level fixed point:
 
   1. correction: theta = T(u, tau, theta), a contraction in the weighted
      sup-norm ||theta|| = sum_k sup |theta_k| / sum_h phi*_h;
@@ -79,24 +82,16 @@ class SystemSolveConfig:
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Grid samples of the eigenstructure and the interaction coefficients.
-
-    ``eta_pi[i, j] = -l_hat_i . (B d_xi r_hat_j)`` stores the product
-    eta * pi_ij directly, so that models with B = I (eta = 0) carry a clean
-    zero instead of a 0/0 normalization.
-    """
+    """Grid samples of the eigenstructure and of the coupling tensor
+    ``coupling[n, m, i, j] = l_hat_i . d_m(B r_hat_j)``, differentiated along
+    the directions m = xi, u_1..u_N, v."""
 
     xi: np.ndarray
     psi: np.ndarray           # (n,)
     mu: np.ndarray            # (n, N)
-    lambda_hat: np.ndarray    # (n, N)
-    d: np.ndarray             # (n, N)
     r_hat: np.ndarray         # (n, N, N), [point, family, component]
-    l_hat: np.ndarray         # (n, N, N)
-    eta_pi: np.ndarray        # (n, N, N)
-    kappa: np.ndarray         # (n, N, N, N)
-    sigma: np.ndarray         # (n, N, N)
     A0_inv: np.ndarray        # (n, N, N)
+    coupling: np.ndarray      # (n, N + 2, N, N), [point, direction, i, j]
 
     @property
     def N(self) -> int:
@@ -125,15 +120,9 @@ def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
     dK = np.concatenate([np.broadcast_to(-np.eye(N), dA[:1].shape), dA])
     dB = np.concatenate([np.zeros_like(dB[:1]), dB])
     dR = np.swapaxes(eigenvector_derivative(base, dK, dB, U, v, xi), -1, -2)
-    # LdBr[m, n, i, j] = l_hat_i . d_m (B r_hat_j)
-    LdBr = L @ (dB @ R + B @ dR)
-    # kappa[i, j, l] = - l_i . (D_u(B r_j) A0^{-1} r_l)
-    kappa = -np.einsum("mnij,nml->nijl", LdBr[1:N + 1], A0_inv @ R)
-
-    return CoefficientFields(xi=xi, psi=np.asarray(psi, dtype=float),
-                             mu=base.mu, lambda_hat=base.lambda_hat, d=base.d,
-                             r_hat=base.r_hat, l_hat=L, eta_pi=-LdBr[0],
-                             kappa=kappa, sigma=LdBr[N + 1], A0_inv=A0_inv)
+    coupling = np.swapaxes(L @ (dB @ R + B @ dR), 0, 1)
+    return CoefficientFields(xi=xi, psi=np.asarray(psi, dtype=float), mu=base.mu,
+                             r_hat=base.r_hat, A0_inv=A0_inv, coupling=coupling)
 
 
 def build_measures(model: SystemCouplingModel, coeffs: CoefficientFields,
@@ -157,13 +146,23 @@ def envelope_ratio(theta: np.ndarray, measures: WaveMeasureSet) -> np.ndarray:
     return np.abs(theta) / denom[:, None]
 
 
+def _state_rate(coeffs: CoefficientFields, a: np.ndarray) -> np.ndarray:
+    """u_xi from A0 u_xi = sum_j a_j r_hat_j."""
+    return np.einsum("nab,nb->na", coeffs.A0_inv, np.einsum("nj,njb->nb", a, coeffs.r_hat))
+
+
+def _coupling_source(coeffs: CoefficientFields, a: np.ndarray) -> np.ndarray:
+    """-sum_j a_j l_hat_i . (B r_hat_j)', the total derivative taken along xi,
+    along u at the rate u_xi and along the color at the rate psi."""
+    rate = np.column_stack([np.ones(len(a)), _state_rate(coeffs, a), coeffs.psi])
+    total = np.einsum("nm,nmij->nij", rate, coeffs.coupling)  # l_hat_i . (B r_hat_j)'
+    return -(total @ a[:, :, None])[..., 0]
+
+
 def correction_map(measures: WaveMeasureSet, coeffs: CoefficientFields,
                    tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """One application of the correction map T(u, tau, theta)."""
-    a = tau[None, :] * measures.phi + theta
-    source = (np.einsum("nkj,nj->nk", coeffs.eta_pi, a)
-              + np.einsum("nkjl,nj,nl->nk", coeffs.kappa, a, a)
-              + np.einsum("nkj,nj->nk", coeffs.sigma, a) * coeffs.psi[:, None])
+    source = _coupling_source(coeffs, tau[None, :] * measures.phi + theta)
     # the kernel takes a nonnegative source: the positive and the negative
     # part of every family are its 2N rows, each anchored at c_k
     N = measures.N
@@ -220,17 +219,11 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
     return theta, it, alpha
 
 
-def strength_matrix(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                    weight_A0_inv: bool = False) -> np.ndarray:
-    """Matrix with k-th column int phi*_k r_hat_k dxi (optionally with the
-    A0^{-1} weight used by the boundary-matching Newton update)."""
-    N = measures.N
-    C = np.empty((N, N))
-    for k in range(N):
-        cols = coeffs.r_hat[:, k, :]  # (n, N)
-        if weight_A0_inv:
-            cols = np.einsum("nab,nb->na", coeffs.A0_inv, cols)
-        C[:, k] = np.trapezoid(measures.phi[:, k][:, None] * cols, measures.xi, axis=0)
+def strength_matrix(measures: WaveMeasureSet, cols: np.ndarray) -> np.ndarray:
+    """Matrix with k-th column int phi*_k cols_k dxi, for columns given as
+    (n, N, N) [point, family, component]: A0^{-1} r_hat_k for the
+    boundary-matching Newton update, r_hat_k for beta."""
+    C = np.trapezoid(measures.phi[:, :, None] * cols, measures.xi, axis=0).T
     if abs(np.linalg.det(C)) < 1e-12:
         raise SmallnessViolation("strength matrix singular to tolerance; "
                                  "band separation insufficient")
@@ -240,9 +233,7 @@ def strength_matrix(measures: WaveMeasureSet, coeffs: CoefficientFields,
 def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
                   a: np.ndarray, u_left: np.ndarray) -> np.ndarray:
     """Integrate A0 u_xi = sum_j a_j r_hat_j from u(-M) = u_left."""
-    s = np.einsum("nj,njb->nb", a, coeffs.r_hat)
-    du = np.einsum("nab,nb->na", coeffs.A0_inv, s)
-    return u_left[None, :] + GridFunction(measures.xi, du).cumtrapz().values
+    return u_left[None, :] + GridFunction(measures.xi, _state_rate(coeffs, a)).cumtrapz().values
 
 
 def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
@@ -289,6 +280,7 @@ class SystemSolveState:
     coefficients: CoefficientFields
     weighted_norm_theta: float
     boundary_residual: float
+    equation_residual: float
     outer_iterations: int
     outer_residual: float
     tv_u: float
@@ -300,6 +292,18 @@ class SystemSolveState:
     eps: float
     u_left: np.ndarray
     u_right: np.ndarray
+
+
+def equation_residual(model: SystemCouplingModel, xi: np.ndarray, U: np.ndarray,
+                      v: np.ndarray, eps: float) -> float:
+    """max |(-xi A0 + A1) u' - eps (B0 u')'| / max |(-xi A0 + A1) u'| of a
+    profile, by central differences on its grid, without the two points at
+    each end that the one-sided end differences enter."""
+    du = np.gradient(U, xi, axis=0)[..., None]
+    K = np.asarray(model.A1(U, v)) - xi[:, None, None] * np.asarray(model.A0(U, v))
+    lhs = (K @ du)[2:-2, :, 0]
+    rhs = eps * np.gradient((np.asarray(model.B0(U, v)) @ du)[..., 0], xi, axis=0)[2:-2]
+    return float(np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), 1e-300))
 
 
 def admissible_jump_radius(model: SystemCouplingModel, delta: float) -> float:
@@ -343,7 +347,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     for outer in range(1, OUTER_MAX_ITERS + 1):
         coeffs = assemble_coefficients(model, U, v, xi, psi)
         measures = build_measures(model, coeffs, config.eps)
-        Ct = strength_matrix(measures, coeffs, weight_A0_inv=True)
+        Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
         if outer == 1:
             # the envelope constant is fitted once, on the first iterate
             tau0 = np.linalg.solve(Ct, u_right - u_left)
@@ -369,13 +373,14 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
 
     u_fn = GridFunction(xi, U)
     du = np.gradient(U, xi, axis=0)
-    beta = float(np.linalg.norm(np.linalg.inv(strength_matrix(measures, coeffs)), 2))
+    beta = float(np.linalg.norm(np.linalg.inv(strength_matrix(measures, coeffs.r_hat)), 2))
     return SystemSolveState(
         u=u_fn, v=GridFunction(xi, v),
         tau=tau, theta=theta, a=a,
         measures=measures, coefficients=coeffs,
         weighted_norm_theta=weighted_norm(theta, measures),
         boundary_residual=float(np.linalg.norm(U[-1] - u_right)),
+        equation_residual=equation_residual(model, xi, U, v, config.eps),
         outer_iterations=outer, outer_residual=outer_res,
         tv_u=u_fn.tv(),
         sup_eps_du=float(config.eps * np.linalg.norm(du, axis=1).max()),

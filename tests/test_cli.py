@@ -172,6 +172,9 @@ def test_solve_system_artifacts(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["boundary_residual"] <= 1e-6
     assert all(a < 1.0 for a in diag["contraction_estimates"])
+    # the profile equation's relative residual on the grid: O(h^2) (about
+    # 2e-4 here), not the O(1)-in-h 1e-2 of a wrong-signed coupling term
+    assert 0.0 < diag["equation_residual"] < 1e-3
     header = (out / "solution.csv").read_text().splitlines()[0]
     assert header == "xi,u_1,u_2,v,a_1,a_2"
 

@@ -11,17 +11,19 @@ from selfsim.models import build_scalar_model, system_from_scalar
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
-from selfsim.system import (SmallnessViolation, SystemSolveConfig,
+from selfsim.system import (SmallnessViolation, SystemSolveConfig, _coupling_source,
                             admissible_jump_radius, assemble_coefficients,
                             build_measures, correction_map, envelope_bound,
-                            solve_system, strength_matrix, weighted_norm)
+                            equation_residual, solve_system, strength_matrix,
+                            weighted_norm)
 
 EPS = 0.1
 
 
 def _cubic_gamma_model(closed_form: bool = False):
     # gamma = u + 0.2 u^3 with B0 = 1 + 0.3 u^2 has A0 != I and B != I, so
-    # the eta_pi, kappa and A0^{-1} terms enter the system solve (eta > 0).
+    # the xi and u rows of the coupling and A0^{-1} enter the system solve
+    # (eta > 0).
     # Without closed_form, gamma' and f' are the builder's finite differences.
     def gamma(u):
         return u + 0.2 * np.asarray(u, dtype=float) ** 3
@@ -59,21 +61,41 @@ def _state_dependent_viscosity(p_system):
     return dataclasses.replace(p_system, B0=B0, name="p-system-variable-B0")
 
 
+def _distinct_halves_model():
+    """Burgers flux with gamma_- = u and gamma_+ = 1.5 u: B = 1 / gamma'
+    changes across the color layer, so the coupling's color row is nonzero."""
+    def identity(w):
+        return np.asarray(w, dtype=float)
+
+    def flux(w):
+        return identity(w) ** 2 / 2.0
+
+    def slope(c):
+        return lambda u: np.full(np.shape(u), c)
+
+    return build_scalar_model(
+        identity, lambda u: 1.5 * identity(u), flux, flux,
+        d_gamma_minus=slope(1.0), d_gamma_plus=slope(1.5),
+        d_f_minus=identity, d_f_plus=identity, name="distinct-halves")
+
+
 def _resonant_p_system(p_system):
     """A1 + s A0 moves every speed by s: with s at the middle of family 1's
-    band, that band lies across the interface speed 0."""
+    band, that band lies across the interface speed 0.  M = lam_high[-1] + 0.5
+    keeps family 2's shifted band inside the grid."""
     s = -0.5 * (p_system.lam_low[0] + p_system.lam_high[0])
     model = dataclasses.replace(
         p_system, A1=lambda u, v: p_system.A1(u, v) + s * p_system.A0(u, v),
         lam_low=p_system.lam_low + s, lam_high=p_system.lam_high + s,
-        name="p-system-resonant")
+        M=float(p_system.lam_high[-1] + s + 0.5), name="p-system-resonant")
     assert model.lam_low[0] < 0.0 < model.lam_high[0]
     return model
 
 
 def _difference_reference(model, U, v, xi, h):
-    """eta_pi, kappa and sigma by central differences of whole eigensolves,
-    each shifted r_hat matched in sign to the base point by hand."""
+    """The coupling l_hat_i . d_m(B r_hat_j), m = xi, u_1..u_N, v, by central
+    differences of whole eigensolves, each shifted r_hat matched in sign to
+    the base point by hand; stacked as (n, N + 2, N, N)."""
     def eigen(U, v, xi):
         A, B, _ = model.pencil(U, v)
         return pencil_eigen(A, B, U, v, xi)
@@ -94,13 +116,10 @@ def _difference_reference(model, U, v, xi, h):
         lo = B(U - dU, v - dv) @ cols(-dU, -dv, 0.0)
         return L @ (hi - lo) / (2.0 * step)
 
-    eta_pi = -(L @ B(U, v) @ (cols(0.0, 0.0, h) - cols(0.0, 0.0, -h)) / (2.0 * h))
-    w = np.linalg.inv(model.A0(U, v)) @ np.swapaxes(base.r_hat, 1, 2)
+    d_xi = L @ B(U, v) @ (cols(0.0, 0.0, h) - cols(0.0, 0.0, -h)) / (2.0 * h)
     hu = h * model.delta0
-    kappa = -sum(np.einsum("nij,nl->nijl", L_dBr(hu * e, 0.0, hu), w[:, m])
-                 for m, e in enumerate(np.eye(model.N)))
-    sigma = L_dBr(0.0, h, h)
-    return eta_pi, kappa, sigma
+    d_u = [L_dBr(hu * e, 0.0, hu) for e in np.eye(model.N)]
+    return np.stack([d_xi, *d_u, L_dBr(0.0, h, h)], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -202,19 +221,21 @@ def test_profile_leaving_the_ball_names_the_point(p_system):
     assert 1e-6 < excess < 0.1 * p_system.delta0
 
 
-def test_coefficient_fields_shapes_and_eta_pi(p_system):
+def test_coefficient_fields_shapes_and_xi_row(p_system):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     prof = ColorProfile(EPS, 1.0, p_system.M)
     v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
     U = np.tile(p_system.u_ref, (n, 1))
     coeffs = assemble_coefficients(p_system, U, v, xi, psi)
-    assert coeffs.kappa.shape == (n, 2, 2, 2)
+    assert [f.name for f in dataclasses.fields(coeffs)] == [
+        "xi", "psi", "mu", "r_hat", "A0_inv", "coupling"]
+    assert coeffs.coupling.shape == (n, 4, 2, 2)
     # B = I: B d_xi r_hat = d_xi r_hat, and r_hat is xi-independent at fixed
-    # (u, v), so the eta*pi product vanishes to rounding
-    assert np.abs(coeffs.eta_pi).max() <= 1e-15
-    # sigma is nonzero: eigenvectors rotate with the color
-    assert np.abs(coeffs.sigma).max() > 1e-4
+    # (u, v), so the xi row vanishes to rounding
+    assert np.abs(coeffs.coupling[:, 0]).max() <= 1e-15
+    # the color row is nonzero: eigenvectors rotate with the color
+    assert np.abs(coeffs.coupling[:, 3]).max() > 1e-4
 
 
 def test_perturbation_coefficients_match_eigensolve_differences(p_system):
@@ -233,18 +254,18 @@ def test_perturbation_coefficients_match_eigensolve_differences(p_system):
         coeffs = assemble_coefficients(model, U, v, xi, np.zeros(n))
         ref = _difference_reference(model, U, v, xi, h)
         half = _difference_reference(model, U, v, xi, h / 2.0)
-        for got, r, r_half in zip((coeffs.eta_pi, coeffs.kappa, coeffs.sigma), ref, half):
-            # the reference is resolved: halving the step moves it by O(h^2)
-            assert np.abs(r - r_half).max() <= 1e-8, model.name
-            assert np.abs(got - r).max() <= 1e-7, model.name
+        # the reference is resolved: halving the step moves it by O(h^2)
+        assert np.abs(ref - half).max() <= 1e-8, model.name
+        assert np.abs(coeffs.coupling - ref).max() <= 1e-7, model.name
         if model.name == "p-system-variable-B0":
-            assert np.abs(coeffs.eta_pi).max() > 1e-3  # B != I: eta_pi is exercised
+            # B != I: the xi row is exercised
+            assert np.abs(coeffs.coupling[:, 0]).max() > 1e-3
         if model is cubic:
-            # N = 1 closed form: kappa = -B'(u) / (B A0) with B = B0 / A0
+            # N = 1 closed form: l (B r)_u = B'(u) / B with B = B0 / A0
             u = U[:, 0]
             a0, b0 = 1.0 + 0.6 * u ** 2, 1.0 + 0.3 * u ** 2
             dB = (0.6 * u * a0 - 1.2 * u * b0) / a0 ** 2
-            assert np.abs(coeffs.kappa[:, 0, 0, 0] + dB / b0).max() <= 1e-9
+            assert np.abs(coeffs.coupling[:, 1, 0, 0] - dB * a0 / b0).max() <= 1e-9
 
 
 def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
@@ -303,9 +324,9 @@ def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypa
     # fit and the strength Newton, plus the unweighted one for beta
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("weight_A0_inv", False))
-        return strength_matrix(*args, **kwargs)
+    def counted(measures, cols):
+        calls.append(cols)
+        return strength_matrix(measures, cols)
 
     monkeypatch.setattr(selfsim.system, "strength_matrix", counted)
     jump = 0.01 * p_system.delta0
@@ -313,7 +334,11 @@ def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypa
                          p_system.u_ref - np.array([jump / 2.0, 0.0]),
                          p_system.u_ref + np.array([jump / 2.0, 0.0]))
     assert state.outer_iterations == 3
-    assert calls == [True] * 3 + [False]
+    coeffs = state.coefficients
+    weighted = np.einsum("nab,nkb->nka", coeffs.A0_inv, coeffs.r_hat)
+    assert len(calls) == 4 and calls[-1] is coeffs.r_hat
+    assert not any(c is coeffs.r_hat for c in calls[:3])
+    np.testing.assert_allclose(calls[2], weighted, rtol=1e-14, atol=1e-15)
 
 
 def test_solve_takes_one_strength_2_norm(p_system, monkeypatch):
@@ -361,10 +386,7 @@ def _row_transfer(log_phi, log_source, x, anchor):
 
 def _per_family_correction(measures, coeffs, tau, theta):
     """The correction map with one transfer call per family and sign."""
-    a = tau[None, :] * measures.phi + theta
-    source = (np.einsum("nkj,nj->nk", coeffs.eta_pi, a)
-              + np.einsum("nkjl,nj,nl->nk", coeffs.kappa, a, a)
-              + np.einsum("nkj,nj->nk", coeffs.sigma, a) * coeffs.psi[:, None])
+    source = _coupling_source(coeffs, tau[None, :] * measures.phi + theta)
     out = np.empty_like(theta)
     for k in range(measures.N):
         pos, neg = (_row_transfer(measures.log_phi[:, k],
@@ -409,7 +431,7 @@ def test_zero_correction_is_fixed_point_at_zero_strength(p_system):
 
 
 def test_strength_matrix_invertible(p_state):
-    C = strength_matrix(p_state.measures, p_state.coefficients)
+    C = strength_matrix(p_state.measures, p_state.coefficients.r_hat)
     assert C.shape == (2, 2)
     assert p_state.beta == np.linalg.norm(np.linalg.inv(C), 2) > 0
     assert np.isfinite(np.linalg.cond(C))
@@ -422,20 +444,42 @@ def test_tv_and_slope_estimates_recorded(p_state):
 
 
 def test_n1_system_matches_scalar_solver(burgers):
-    cubic = _cubic_gamma_model()
+    cubic, halves = _cubic_gamma_model(), _distinct_halves_model()
     from selfsim.diagnostics import l1_distance
     from selfsim.grid import GridFunction
     # u_center = 0 puts the band [-0.4, 0.4] of Burgers speeds across the
-    # interface speed 0 (resonance), in both data orders and down the ladder
+    # interface speed 0 (resonance), in both data orders and down the ladder;
+    # the distinct halves carry the coupling's color row into the solve
     cases = [(burgers, 0.5, 0.1, 0.52, 0.48), (cubic, 0.5, 0.1, 0.52, 0.48)]
     cases += [(burgers, 0.0, eps, uL, -uL)
               for eps in (0.1, 0.05, 0.025) for uL in (0.02, -0.02)]
+    cases += [(halves, 0.5, eps, uL, 1.0 - uL)
+              for eps in (0.1, 0.05) for uL in (0.51, 0.49)]
     for scalar_model, u_center, eps, uL, uR in cases:
         sys_model = system_from_scalar(scalar_model, u_center=u_center, delta0=0.4)
-        assert (sys_model.eta > 0) == (scalar_model is cubic)
+        assert (sys_model.eta > 0) == (scalar_model is not burgers)
         scal = solve_scalar(scalar_model, ScalarSolveConfig(eps=eps, M=sys_model.M),
                             uL, uR)
         syst = solve_system(sys_model, SystemSolveConfig(eps=eps),
                             np.array([uL]), np.array([uR]))
         d = l1_distance(scal.u, GridFunction(syst.u.xi, syst.u.values[:, 0]))
         assert d <= 10.0 * (1e-10 + syst.boundary_residual + 1e-8)
+
+
+@pytest.mark.parametrize("variant", [lambda m: m, _state_dependent_viscosity,
+                                     _resonant_p_system],
+                         ids=["p-system", "variable-B0", "resonant"])
+def test_equation_residual_falls_with_the_grid(p_system, variant):
+    # the profile solves the README equation to the grid's second order, so
+    # doubling the grid cuts the central-difference residual by about 4
+    model = variant(p_system)
+    jump = 0.9 * admissible_jump_radius(model, model.delta0 / 4.0)
+    uL = model.u_ref - np.array([jump / 2.0, 0.0])
+    uR = model.u_ref + np.array([jump / 2.0, 0.0])
+    res = []
+    for n in (599, 1197):
+        state = solve_system(model, SystemSolveConfig(eps=EPS, grid_size=n), uL, uR)
+        assert state.equation_residual == equation_residual(
+            model, state.u.xi, state.u.values, state.v.values, EPS)
+        res.append(state.equation_residual)
+    assert res[1] <= res[0] / 3.0, res
