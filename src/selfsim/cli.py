@@ -311,6 +311,8 @@ def _solve_system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
         "boundary_residual": state.boundary_residual,
         "equation_residual": state.equation_residual,
         "outer_iterations": state.outer_iterations,
+        "outer_residuals": state.outer_residuals,
+        "outer_error_bound": state.outer_error_bound,
         "beta": state.beta, "envelope_constant": state.envelope_constant,
     }
     ok = (state.boundary_residual <= 1e-6

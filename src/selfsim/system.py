@@ -14,6 +14,11 @@ small correction.  The solve is a three-level fixed point:
      solved by a frozen-Jacobian Newton iteration on the strength matrix;
   3. state:      outer Picard iteration on u itself (the eigenfields are
      frozen at the current iterate during the two inner solves).
+
+The two contractions (1 and 3) stop on the a-posteriori error bound
+q/(1 - q)·update, with q the measured ratio of their last two updates; the
+first update alone stops when it is within the tolerance.  The strength
+Newton stops on its boundary residual, which is a direct error check.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from .spectral import MATRIX_STEP, eigenvector_derivative, matrix_derivatives, p
 
 PHI_SUM_FLOOR = 1e-300
 
-# stopping rules of the three levels: the correction map's E-norm update
-# (relative to max(|tau|, 1)), the boundary residual |u(M) - u_R| of the
-# strength Newton, and the outer state update (relative to max(|jump|, 1))
+# stopping rules of the three levels: the error bound of the correction
+# map's E-norm update (relative to max(|tau|, 1)), the boundary residual
+# |u(M) - u_R| of the strength Newton, and the error bound of the outer
+# state update (relative to max(|jump|, 1))
 FIX_TOL, MAX_ITERS = 1e-12, 400
 STRENGTH_TOL, STRENGTH_MAX_ITERS = 1e-9, 60
 OUTER_TOL, OUTER_MAX_ITERS = 1e-8, 40
@@ -45,10 +51,37 @@ class SmallnessViolation(RuntimeError):
 
 
 class ContractionFailure(RuntimeError):
-    def __init__(self, stage: str, estimate: float):
-        super().__init__(f"{stage}: measured contraction factor {estimate:.3f} >= 1")
+    """A loop that diverged or ran out of iterations; carries the measured
+    ratio of its last two updates (or residuals) and the last one."""
+
+    def __init__(self, stage: str, estimate: float, residual: float):
+        verdict = " >= 1" if estimate >= 1.0 else ""
+        super().__init__(f"{stage}: measured contraction factor {estimate:.3g}{verdict}, "
+                         f"last residual {residual:.3e}")
         self.stage = stage
         self.estimate = estimate
+        self.residual = residual
+
+
+def _ratio(history: list[float]) -> float:
+    """Measured contraction factor: the ratio of the last two entries (an
+    entry before the last is above its tolerance, so it is positive)."""
+    return history[-1] / history[-2] if len(history) > 1 else float("nan")
+
+
+def _error_bound(update: float, previous: float | None) -> float:
+    """A-posteriori error bound q/(1 - q)·update of a contraction whose
+    measured ratio is q = update/previous (Hairer-Wanner II, IV.8): the
+    update itself when there is no previous one, inf when q >= 1."""
+    if previous is None:
+        return update
+    q = update / previous
+    return q / (1.0 - q) * update if q < 1.0 else float("inf")
+
+
+def _converged(update: float, previous: float | None, tol: float) -> bool:
+    """The stopping rule of the correction map and of the outer loop."""
+    return _error_bound(update, previous) <= tol
 
 
 class EnvelopeViolation(RuntimeError):
@@ -193,21 +226,23 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
     (theta, iterations, measured contraction factor)."""
     theta = np.zeros_like(measures.phi)
     bound = envelope_bound(tau, eta, nu, A)
-    alpha = 0.0
+    tol = FIX_TOL * max(float(np.linalg.norm(tau)), 1.0)
+    alpha, q = 0.0, float("nan")
     prev_update = None
     for it in range(1, MAX_ITERS + 1):
         new = correction_map(measures, coeffs, tau, theta)
         update = weighted_norm(new - theta, measures)
         if prev_update is not None and prev_update > 0:
-            alpha = max(alpha, update / prev_update)
-            if it > 3 and update / prev_update >= 1.0:
-                raise ContractionFailure("correction map", update / prev_update)
-        prev_update = update
+            q = update / prev_update
+            alpha = max(alpha, q)
+            if it > 3 and q >= 1.0:
+                raise ContractionFailure("correction map", q, update)
         theta = new
-        if update <= FIX_TOL * max(float(np.linalg.norm(tau)), 1.0):
+        if _converged(update, prev_update, tol):
             break
+        prev_update = update
     else:
-        raise ContractionFailure("correction map (no convergence)", alpha)
+        raise ContractionFailure("correction map (no convergence)", q, update)
 
     ratio = envelope_ratio(theta, measures)
     worst = float(ratio.max())
@@ -247,7 +282,7 @@ def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
     jump = u_right - u_left
 
     tau = Ct_inv @ jump
-    alphas = []
+    alphas, residuals = [], []
     theta = np.zeros_like(measures.phi)
     for it in range(1, STRENGTH_MAX_ITERS + 1):
         if np.linalg.norm(tau) > delta * (1.0 + 1e-9):
@@ -259,14 +294,15 @@ def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
         a = tau[None, :] * measures.phi + theta
         u_end = reconstruct_u(measures, coeffs, a, u_left)[-1]
         res = u_right - u_end
-        if np.linalg.norm(res) <= STRENGTH_TOL:
+        residuals.append(float(np.linalg.norm(res)))
+        if residuals[-1] <= STRENGTH_TOL:
             break
         tau = tau + Ct_inv @ res
     else:
         raise ContractionFailure("strength solve (no convergence)",
-                                 float(np.linalg.norm(res)))
+                                 _ratio(residuals), residuals[-1])
     return tau, theta, {"iterations": it, "correction_alphas": alphas,
-                        "residual": float(np.linalg.norm(res))}
+                        "residual": residuals[-1]}
 
 
 @dataclass(frozen=True)
@@ -281,8 +317,7 @@ class SystemSolveState:
     weighted_norm_theta: float
     boundary_residual: float
     equation_residual: float
-    outer_iterations: int
-    outer_residual: float
+    outer_residuals: tuple[float, ...]  # every outer update, relative to max(|jump|, 1)
     tv_u: float
     sup_eps_du: float
     beta: float
@@ -292,6 +327,16 @@ class SystemSolveState:
     eps: float
     u_left: np.ndarray
     u_right: np.ndarray
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.outer_residuals)
+
+    @property
+    def outer_error_bound(self) -> float:
+        """The error bound the outer loop stopped on."""
+        r = self.outer_residuals
+        return _error_bound(r[-1], r[-2] if len(r) > 1 else None)
 
 
 def equation_residual(model: SystemCouplingModel, xi: np.ndarray, U: np.ndarray,
@@ -340,7 +385,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     U = u_left[None, :] + (u_right - u_left)[None, :] * blend
 
     eta, nu = model.eta, model.nu
-    outer_res = 0.0
+    outer_res: list[float] = []
     alphas: list[float] = []
     scale = max(jump, 1.0)
 
@@ -357,12 +402,13 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
         alphas.extend(info["correction_alphas"])
         a = tau[None, :] * measures.phi + theta
         U_new = reconstruct_u(measures, coeffs, a, u_left)
-        outer_res = float(np.abs(U_new - U).max()) / scale
+        outer_res.append(float(np.abs(U_new - U).max()) / scale)
         U = U_new
-        if outer_res <= OUTER_TOL:
+        if _converged(outer_res[-1], outer_res[-2] if outer > 1 else None, OUTER_TOL):
             break
     else:
-        raise ContractionFailure("outer state iteration (no convergence)", outer_res)
+        raise ContractionFailure("outer state iteration (no convergence)",
+                                 _ratio(outer_res), outer_res[-1])
 
     if not model.in_ball(U, slack=1e-6):
         dist = np.linalg.norm(U - model.u_ref, axis=1)
@@ -381,7 +427,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
         weighted_norm_theta=weighted_norm(theta, measures),
         boundary_residual=float(np.linalg.norm(U[-1] - u_right)),
         equation_residual=equation_residual(model, xi, U, v, config.eps),
-        outer_iterations=outer, outer_residual=outer_res,
+        outer_residuals=tuple(outer_res),
         tv_u=u_fn.tv(),
         sup_eps_du=float(config.eps * np.linalg.norm(du, axis=1).max()),
         beta=beta, envelope_constant=float(A), delta=delta,

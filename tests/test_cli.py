@@ -175,6 +175,13 @@ def test_solve_system_artifacts(tmp_path):
     # the profile equation's relative residual on the grid: O(h^2) (about
     # 2e-4 here), not the O(1)-in-h 1e-2 of a wrong-signed coupling term
     assert 0.0 < diag["equation_residual"] < 1e-3
+    # the outer loop's stop decision, from the artifact alone: every update,
+    # and the error bound q/(1 - q)·update it stopped on
+    res = diag["outer_residuals"]
+    assert len(res) == diag["outer_iterations"] >= 2
+    q = res[-1] / res[-2]
+    assert diag["outer_error_bound"] == pytest.approx(q / (1.0 - q) * res[-1], rel=1e-12)
+    assert diag["outer_error_bound"] <= 1e-8
     header = (out / "solution.csv").read_text().splitlines()[0]
     assert header == "xi,u_1,u_2,v,a_1,a_2"
 

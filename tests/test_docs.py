@@ -1,0 +1,28 @@
+"""The README's tables against the code they describe."""
+
+import importlib
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+ROW = re.compile(r"^\| `(\w+)` \| (`\w+`(?:, `\w+`)*) \| ([^|]+) \|")
+
+
+def _solver_constant_rows():
+    text = README.read_text()
+    section = text.split("## Solver constants", 1)[1].split("\n## ", 1)[0]
+    return [ROW.match(line).groups() for line in section.splitlines()
+            if ROW.match(line)]
+
+
+def test_solver_constants_table_matches_the_modules():
+    rows = _solver_constant_rows()
+    assert len(rows) >= 15
+    for module, names, values in rows:
+        mod = importlib.import_module(f"selfsim.{module}")
+        names = re.findall(r"`(\w+)`", names)
+        values = [v.strip() for v in values.split(",")]
+        assert len(names) == len(values), (module, names, values)
+        for name, value in zip(names, values):
+            assert hasattr(mod, name), f"README names {module}.{name}, which does not exist"
+            assert getattr(mod, name) == float(value), (module, name, value)

@@ -11,11 +11,12 @@ from selfsim.models import build_scalar_model, system_from_scalar
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
-from selfsim.system import (SmallnessViolation, SystemSolveConfig, _coupling_source,
+from selfsim.system import (FIX_TOL, OUTER_TOL, ContractionFailure, SmallnessViolation,
+                            SystemSolveConfig, _converged, _coupling_source,
                             admissible_jump_radius, assemble_coefficients,
                             build_measures, correction_map, envelope_bound,
-                            equation_residual, solve_system, strength_matrix,
-                            weighted_norm)
+                            equation_residual, reconstruct_u, solve_strength,
+                            solve_system, strength_matrix, weighted_norm)
 
 EPS = 0.1
 
@@ -333,12 +334,11 @@ def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypa
     state = solve_system(p_system, SystemSolveConfig(eps=EPS),
                          p_system.u_ref - np.array([jump / 2.0, 0.0]),
                          p_system.u_ref + np.array([jump / 2.0, 0.0]))
-    assert state.outer_iterations == 3
     coeffs = state.coefficients
     weighted = np.einsum("nab,nkb->nka", coeffs.A0_inv, coeffs.r_hat)
-    assert len(calls) == 4 and calls[-1] is coeffs.r_hat
-    assert not any(c is coeffs.r_hat for c in calls[:3])
-    np.testing.assert_allclose(calls[2], weighted, rtol=1e-14, atol=1e-15)
+    assert len(calls) == state.outer_iterations + 1 and calls[-1] is coeffs.r_hat
+    assert not any(c is coeffs.r_hat for c in calls[:-1])
+    np.testing.assert_allclose(calls[-2], weighted, rtol=1e-14, atol=1e-15)
 
 
 def test_solve_takes_one_strength_2_norm(p_system, monkeypatch):
@@ -357,8 +357,100 @@ def test_solve_takes_one_strength_2_norm(p_system, monkeypatch):
     state = solve_system(p_system, SystemSolveConfig(eps=EPS),
                          p_system.u_ref - np.array([jump / 2.0, 0.0]),
                          p_system.u_ref + np.array([jump / 2.0, 0.0]))
-    assert state.outer_iterations == 3
+    assert state.outer_iterations > 1
     assert calls == [(2, 2)] * 2
+
+
+def test_converged_stops_on_the_a_posteriori_bound():
+    tol = 1e-8
+    # the first update alone stops when it is within the tolerance
+    assert _converged(tol, None, tol) and not _converged(1.01 * tol, None, tol)
+    # a measured ratio >= 1 never stops, however small the update
+    assert not _converged(1e-20, 1e-20, tol) and not _converged(1e-20, 1e-21, tol)
+    # q/(1 - q)·update: 9e-9 at q = 0.9, 1.9e-8 at q = 0.95
+    assert _converged(1e-9, 1e-9 / 0.9, tol)
+    assert not _converged(1e-9, 1e-9 / 0.95, tol)
+
+
+def test_contraction_failure_says_ge_1_only_for_a_ratio_ge_1():
+    diverged = ContractionFailure("correction map", 1.25, 3e-4)
+    assert str(diverged) == ("correction map: measured contraction factor 1.25 >= 1, "
+                             "last residual 3.000e-04")
+    stalled = ContractionFailure("strength solve (no convergence)", 0.5, 3e-4)
+    assert ">= 1" not in str(stalled) and "0.5" in str(stalled)
+    assert (stalled.estimate, stalled.residual) == (0.5, 3e-4)
+
+
+@pytest.mark.parametrize("cap, stage", [("MAX_ITERS", "correction map"),
+                                        ("STRENGTH_MAX_ITERS", "strength solve"),
+                                        ("OUTER_MAX_ITERS", "outer state iteration")])
+def test_no_convergence_reports_its_ratio_and_residual(p_system, monkeypatch, cap, stage):
+    # two steps are too few for each level at 0.9 of the admissible radius;
+    # the error carries the ratio of the last two updates (or residuals),
+    # below 1, and the last one, not a residual called a contraction factor
+    monkeypatch.setattr(selfsim.system, cap, 2)
+    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    with pytest.raises(ContractionFailure) as info:
+        solve_system(p_system, SystemSolveConfig(eps=EPS),
+                     p_system.u_ref - np.array([0.0, jump / 2.0]),
+                     p_system.u_ref + np.array([0.0, jump / 2.0]))
+    err = info.value
+    assert err.stage == f"{stage} (no convergence)"
+    assert 0.0 < err.estimate < 1.0 and err.residual > 0.0
+    assert ">= 1" not in str(err) and f"{err.residual:.3e}" in str(err)
+
+
+@pytest.mark.parametrize("variant", [lambda m: m, _state_dependent_viscosity,
+                                     _resonant_p_system],
+                         ids=["p-system", "variable-B0", "resonant"])
+def test_returned_state_is_within_the_tolerances(p_system, variant):
+    # the loops stop on an error bound, not on a small update: one more
+    # outer step, and one more correction map, built by hand from the
+    # returned state, move it by no more than the tolerances
+    model = variant(p_system)
+    radius = admissible_jump_radius(model, model.delta0 / 4.0)
+    for frac in (0.1, 0.9):
+        for direction in np.eye(2):
+            for eps in (0.1, 0.025):
+                jump = frac * radius * direction
+                uL, uR = model.u_ref - jump / 2.0, model.u_ref + jump / 2.0
+                state = solve_system(model, SystemSolveConfig(eps=eps), uL, uR)
+                U, xi = state.u.values, state.u.xi
+                coeffs = assemble_coefficients(model, U, state.v.values, xi,
+                                               state.coefficients.psi)
+                measures = build_measures(model, coeffs, eps)
+                Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
+                tau, theta, _ = solve_strength(measures, coeffs, Ct, uL, uR, model.eta,
+                                               model.nu, state.envelope_constant, state.delta)
+                U_next = reconstruct_u(measures, coeffs, tau[None, :] * measures.phi + theta, uL)
+                scale = max(float(np.linalg.norm(jump)), 1.0)
+                assert np.abs(U_next - U).max() <= OUTER_TOL * scale, (frac, direction, eps)
+
+                theta_next = correction_map(state.measures, state.coefficients,
+                                            state.tau, state.theta)
+                tol = FIX_TOL * max(float(np.linalg.norm(state.tau)), 1.0)
+                assert weighted_norm(theta_next - state.theta, state.measures) <= tol
+
+
+def test_solve_makes_two_assemblies_and_at_most_17_correction_maps(p_system, monkeypatch):
+    # at eps 0.1 the outer loop stops on its second update's error bound
+    calls = {"assemble": 0, "correction": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(selfsim.system, "assemble_coefficients",
+                        counting("assemble", assemble_coefficients))
+    monkeypatch.setattr(selfsim.system, "correction_map",
+                        counting("correction", correction_map))
+    jump = 0.01 * p_system.delta0
+    solve_system(p_system, SystemSolveConfig(eps=EPS),
+                 p_system.u_ref - np.array([jump / 2.0, 0.0]),
+                 p_system.u_ref + np.array([jump / 2.0, 0.0]))
+    assert calls["assemble"] == 2 and calls["correction"] <= 17, calls
 
 
 def test_nan_source_is_rejected_by_correction_map(p_system):
