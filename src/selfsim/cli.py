@@ -27,24 +27,24 @@ import numpy as np
 
 from . import __version__
 from .color import ColorProfile
-from .diagnostics import (check_trace_windows, epsilon_continuation,
-                          interface_trace_report)
+from .diagnostics import (check_trace_windows, interface_trace_report,
+                          ladder_cauchy)
 from .grid import default_grid_size, uniform_grid
 from .measures import build_phi_star, constant_speed_fields, verify_bounds
 from .models import (ModelConstructionError, ScalarCouplingModel,
                      SystemCouplingModel, model_from_config, preset_model)
-from .scalar import ScalarSolveConfig, solve_scalar
+from .scalar import ScalarSolveConfig, solve_scalar, trace_window_check
 from .spectral import pencil_eigen
 from .system import SystemSolveConfig, solve_system
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 COMMANDS = ("solve-scalar", "solve-system", "spectral-sweep",
             "verify-lemmas", "continuation", "trace-report")
 
 CONFIG_KEYS = {
     "model", "model_options", "eps", "eps_ladder", "p", "M", "grid",
-    "fix_tol", "uL", "uR", "u", "out", "strict",
+    "uL", "uR", "u", "out", "strict",
 }
 
 
@@ -62,7 +62,6 @@ class RunConfig:
     p: float = 1.0
     M: float | None = None
     grid: int | None = None
-    fix_tol: float = 1e-10
     uL: object = None
     uR: object = None
     u: object = None
@@ -71,24 +70,30 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
 
     def validate(self):
-        for name in ("eps", "p", "M", "fix_tol"):
-            val = getattr(self, name)
-            if val is not None and (not np.isfinite(val) or val <= 0):
-                raise ConfigError(f"--{name.replace('_', '-')} must be a positive "
-                                  f"finite number, got {val}")
-        if self.grid is not None and self.grid < 64:
-            raise ConfigError(f"--grid must be >= 64, got {self.grid}")
-        if self.eps_ladder is not None:
-            lad = [float(x) for x in self.eps_ladder]
-            if any(not np.isfinite(x) or x <= 0 for x in lad):
-                raise ConfigError("--eps-ladder entries must be positive finite numbers")
-            if any(b >= a for a, b in zip(lad, lad[1:])):
+        # a config file can hold any JSON value, so types are checked too
+        ladder = self.eps_ladder
+        if ladder is not None and not (isinstance(ladder, list) and ladder):
+            raise ConfigError(f"--eps-ladder must be a non-empty list, got {ladder!r}")
+        named = [(f"--{k}", getattr(self, k)) for k in ("eps", "M")
+                 if getattr(self, k) is not None]
+        named += [("--p", self.p)] + [("--eps-ladder entry", x) for x in ladder or ()]
+        for name, val in named:
+            if not (_is_number(val) and np.isfinite(val) and val > 0):
+                raise ConfigError(f"{name} must be a positive finite number, got {val!r}")
+        if self.grid is not None and not (_is_number(self.grid, int) and self.grid >= 64):
+            raise ConfigError(f"--grid must be an integer >= 64, got {self.grid!r}")
+        if ladder is not None:
+            self.eps_ladder = [float(x) for x in ladder]
+            if any(b >= a for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):
                 raise ConfigError("ladder must be strictly decreasing")
-            self.eps_ladder = lad
 
     def echo(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
+
+
+def _is_number(val, kind=(int, float)) -> bool:
+    """Whether ``val`` is an instance of ``kind`` and not a bool."""
+    return isinstance(val, kind) and not isinstance(val, bool)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -114,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float)
         sp.add_argument("--M", type=float)
         sp.add_argument("--grid", type=int)
-        sp.add_argument("--fix-tol", dest="fix_tol", type=float)
         sp.add_argument("--uL", help="number, or comma-separated vector")
         sp.add_argument("--uR", help="number, or comma-separated vector")
         sp.add_argument("--u", help="frozen state for spectral-sweep")
@@ -139,8 +143,7 @@ def parse_config(argv) -> RunConfig:
             setattr(cfg, key, val)
 
     overrides = {}
-    for key in ("model", "eps", "p", "M", "grid", "fix_tol", "out",
-                "strict"):
+    for key in ("model", "eps", "p", "M", "grid", "out", "strict"):
         val = getattr(ns, key)
         if val is not None:
             overrides[key] = val
@@ -231,8 +234,7 @@ def _build_model(cfg: RunConfig):
 
 def _scalar_config(cfg: RunConfig, model: ScalarCouplingModel, eps: float) -> ScalarSolveConfig:
     M = cfg.M if cfg.M is not None else model.Lambda + 1.0
-    return ScalarSolveConfig(eps=eps, p=cfg.p, M=M, grid_size=cfg.grid,
-                             fix_tol=cfg.fix_tol)
+    return ScalarSolveConfig(eps=eps, p=cfg.p, M=M, grid_size=cfg.grid)
 
 
 def _eps_list(cfg: RunConfig, need_ladder: bool = False) -> list[float]:
@@ -263,33 +265,31 @@ def _eps_tag(eps: float) -> str:
 # command implementations
 
 
-def _cmd_solve_scalar(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
-    model = _build_model(cfg)
-    if not isinstance(model, ScalarCouplingModel):
-        raise ConfigError("solve-scalar requires a scalar model")
-    if cfg.uL is None or cfg.uR is None:
-        raise ConfigError("solve-scalar requires --uL and --uR")
-    eps = _single_eps(cfg)
-    sol = solve_scalar(model, _scalar_config(cfg, model, eps),
-                       float(cfg.uL), float(cfg.uR))
-    write_csv(out / "solution.csv", ["xi", "u", "v", "h"],
+def _scalar_rung(cfg: RunConfig, model: ScalarCouplingModel, eps: float,
+                 path: Path, previous=None) -> tuple[object, dict, bool]:
+    """One scalar solve at ``eps``, warm-started from the ``previous``
+    rung's solution if there is one: writes the profile CSV to ``path`` and
+    returns the solution, its diagnostics record and whether it passes the
+    acceptance checks."""
+    sol = solve_scalar(model, _scalar_config(cfg, model, eps), float(cfg.uL), float(cfg.uR),
+                       initial=None if previous is None else previous.u)
+    write_csv(path, ["xi", "u", "v", "h"],
               [sol.u.xi, sol.u.values, sol.v.values, sol.h.values])
-    from .scalar import trace_window_check
-    write_json(out / "diagnostics.json", {
+    record = {
         "eps": sol.eps, "p": sol.p, "uL": sol.u_left, "uR": sol.u_right,
         "iterations": sol.iterations, "residual": sol.residual,
         "tv_u": sol.tv_u, "monotone": sol.monotone,
         "trace_window": trace_window_check(sol, model),
-    })
+    }
     ok = sol.monotone and sol.tv_u <= abs(sol.u_right - sol.u_left) + 1e-6
-    return ["solution.csv", "diagnostics.json"], ok
+    return sol, record, ok
 
 
-def _solve_system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
-                       path: Path) -> tuple[dict, bool]:
-    """One system solve at ``eps``: writes the profile CSV to ``path`` and
-    returns the diagnostics record and whether it passes the acceptance
-    checks."""
+def _system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
+                 path: Path, previous=None) -> tuple[object, dict, bool]:
+    """One system solve at ``eps`` (always cold: ``previous`` is not used):
+    writes the profile CSV to ``path`` and returns the solve state, its
+    diagnostics record and whether it passes the acceptance checks."""
     sys_cfg = SystemSolveConfig(eps=eps, p=cfg.p, M=cfg.M, grid_size=cfg.grid)
     uL = np.atleast_1d(np.asarray(cfg.uL, dtype=float))
     uR = np.atleast_1d(np.asarray(cfg.uR, dtype=float))
@@ -317,16 +317,24 @@ def _solve_system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
     }
     ok = (state.boundary_residual <= 1e-6
           and all(a < 1.0 for a in state.contraction_estimates))
-    return record, ok
+    return state, record, ok
 
 
-def _cmd_solve_system(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
+def _model_and_rung(cfg: RunConfig, kind: str | None = None):
+    """The model and the rung function of its kind; ``kind`` ("scalar" or
+    "system") is the kind the command requires, if it requires one."""
     model = _build_model(cfg)
-    if not isinstance(model, SystemCouplingModel):
-        raise ConfigError("solve-system requires a system model")
+    scalar = isinstance(model, ScalarCouplingModel)
+    if kind is not None and kind != ("scalar" if scalar else "system"):
+        raise ConfigError(f"{cfg.command} requires a {kind} model")
     if cfg.uL is None or cfg.uR is None:
-        raise ConfigError("solve-system requires --uL and --uR")
-    record, ok = _solve_system_rung(cfg, model, _single_eps(cfg), out / "solution.csv")
+        raise ConfigError(f"{cfg.command} requires --uL and --uR")
+    return model, _scalar_rung if scalar else _system_rung
+
+
+def _cmd_solve(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
+    model, rung = _model_and_rung(cfg, cfg.command.removeprefix("solve-"))
+    _, record, ok = rung(cfg, model, _single_eps(cfg), out / "solution.csv")
     write_json(out / "diagnostics.json", record)
     return ["solution.csv", "diagnostics.json"], ok
 
@@ -411,98 +419,67 @@ def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         measure_factory, psi_factory = _model_factories(cfg, model)
     report = verify_bounds(measure_factory, ladder, psi_factory)
     write_json(out / "lemma_report.json", report)
-    rows_name, rows_eps, rows_val, rows_pass = [], [], [], []
-    for check in report["checks"]:
-        for eps, val in check["per_eps"].items():
-            rows_name.append(check["name"])
-            rows_eps.append(eps)
-            rows_val.append(val)
-            rows_pass.append(check["passed"])
     with (out / "lemma_constants.csv").open("w") as fh:
         fh.write("check,eps,value,passed\n")
-        for name, eps, val, ok in zip(rows_name, rows_eps, rows_val, rows_pass):
-            fh.write(f"\"{name}\",{eps:.17g},{val:.17g},{int(ok)}\n")
+        for check in report["checks"]:
+            for eps, val in check["per_eps"].items():
+                fh.write(f"\"{check['name']}\",{eps:.17g},{val:.17g},"
+                         f"{int(check['passed'])}\n")
     return ["lemma_report.json", "lemma_constants.csv"], bool(report["passed"])
 
 
-def _run_ladder(cfg: RunConfig, model: ScalarCouplingModel,
-                ladder: list[float]) -> tuple[dict, list]:
-    """Warm-started solves along the ladder; the continuation report and
-    its solutions, or a RuntimeError naming the first failed rung."""
-    base = _scalar_config(cfg, model, ladder[0])
-    report = epsilon_continuation(model, base, float(cfg.uL), float(cfg.uR), ladder)
-    solutions = report.pop("solutions")
-    if report["failures"]:
-        first = report["failures"][0]
-        raise RuntimeError(f"rung eps={first['eps']:g}: {first['error']}")
-    return report, solutions
-
-
-def _system_continuation(cfg: RunConfig, model: SystemCouplingModel,
-                         ladder: list[float], out: Path) -> tuple[list[str], bool]:
-    """One ``solve-system`` per rung; each record is that rung's
-    diagnostics."""
-    outputs, records, ok = [], [], True
+def _ladder(cfg: RunConfig, model, rung, ladder: list[float], out: Path):
+    """One rung per eps, each handed the one before it, each writing
+    ``solution_eps<tag>.csv``: the CSV names, the solutions, their records
+    and whether every rung passed.  The first failed rung raises a
+    RuntimeError naming its eps."""
+    outputs, solutions, records, ok = [], [], [], True
+    previous = None
     for eps in ladder:
         name = f"solution_eps{_eps_tag(eps)}.csv"
         try:
-            record, rung_ok = _solve_system_rung(cfg, model, eps, out / name)
+            previous, record, rung_ok = rung(cfg, model, eps, out / name, previous)
         except Exception as exc:
             raise RuntimeError(f"rung eps={eps:g}: {type(exc).__name__}: {exc}") from exc
         outputs.append(name)
+        solutions.append(previous)
         records.append(record)
         ok = ok and rung_ok
-    write_json(out / "continuation.json", {"eps_ladder": ladder, "records": records})
-    return outputs + ["continuation.json"], ok
+    return outputs, solutions, records, ok
 
 
 def _cmd_continuation(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
-    model = _build_model(cfg)
-    if cfg.uL is None or cfg.uR is None:
-        raise ConfigError("continuation requires --uL and --uR")
+    """Each record is that rung's solve-* diagnostics; a scalar ladder adds
+    its Cauchy diagnostics."""
+    model, rung = _model_and_rung(cfg)
     ladder = _eps_list(cfg, need_ladder=True)
-    if isinstance(model, SystemCouplingModel):
-        return _system_continuation(cfg, model, ladder, out)
-    report, solutions = _run_ladder(cfg, model, ladder)
-
-    outputs = []
-    for sol in solutions:
-        name = f"solution_eps{_eps_tag(sol.eps)}.csv"
-        write_csv(out / name, ["xi", "u", "v", "h"],
-                  [sol.u.xi, sol.u.values, sol.v.values, sol.h.values])
-        outputs.append(name)
-    if report["l1_distances"]:
-        write_csv(out / "l1_distances.csv", ["eps_coarse", "eps_fine", "l1"],
-                  [np.array(ladder[:-1]), np.array(ladder[1:]),
-                   np.array(report["l1_distances"])])
-        outputs.append("l1_distances.csv")
+    outputs, solutions, records, ok = _ladder(cfg, model, rung, ladder, out)
+    report = {"eps_ladder": ladder, "records": records}
+    if isinstance(model, ScalarCouplingModel):
+        report.update(ladder_cauchy(solutions))
+        if report["l1_distances"]:
+            write_csv(out / "l1_distances.csv", ["eps_coarse", "eps_fine", "l1"],
+                      [np.array(ladder[:-1]), np.array(ladder[1:]),
+                       np.array(report["l1_distances"])])
+            outputs.append("l1_distances.csv")
     write_json(out / "continuation.json", report)
-    outputs.append("continuation.json")
-
-    jump = abs(float(cfg.uR) - float(cfg.uL))
-    ok = (not report["failures"]
-          and all(tv <= jump + 1e-6 for tv in report["tv_trace"]))
-    return outputs, ok
+    return outputs + ["continuation.json"], ok
 
 
 def _cmd_trace_report(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
-    model = _build_model(cfg)
-    if not isinstance(model, ScalarCouplingModel):
-        raise ConfigError("trace-report requires a scalar model")
-    if cfg.uL is None or cfg.uR is None:
-        raise ConfigError("trace-report requires --uL and --uR")
+    model, rung = _model_and_rung(cfg, "scalar")
     ladder = _eps_list(cfg, need_ladder=True)
     check_trace_windows(_scalar_config(cfg, model, ladder[0]), ladder)
-    _, sols = _run_ladder(cfg, model, ladder)
-    report = interface_trace_report(sols, model)
+    outputs, solutions, _, _ = _ladder(cfg, model, rung, ladder, out)
+    report = interface_trace_report(solutions, model)
     write_json(out / "trace_report.json", report)
     ok = bool(report["weak_condition_minus"] and report["weak_condition_plus"])
-    return ["trace_report.json"], ok
+    return outputs + ["trace_report.json"], ok
 
 
 _DISPATCH = {
-    "solve-scalar": _cmd_solve_scalar,
-    "solve-system": _cmd_solve_system,
+    "solve-scalar": _cmd_solve,
+    "solve-system": _cmd_solve,
     "spectral-sweep": _cmd_spectral_sweep,
     "verify-lemmas": _cmd_verify_lemmas,
     "continuation": _cmd_continuation,

@@ -1,5 +1,5 @@
 """Limit verification: weak-form residuals, exact Riemann oracles,
-ladder continuation, and interface trace extraction.
+ladder Cauchy diagnostics, and interface trace extraction.
 
 The inviscid limit must satisfy, on each open half-line and in the sense of
 distributions,
@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import GridFunction, uniform_grid
 from .models import ScalarCouplingModel
-from .scalar import ScalarSolveConfig, ScalarSolution, solve_scalar
+from .scalar import ScalarSolveConfig, ScalarSolution
 
 EXCLUSION_FACTOR = 3.0  # excluded zone is |xi| < 3 eps^(p/2)
 WEAK_TOLERANCE = 1e-3   # pass mark of every weak residual
@@ -245,7 +245,7 @@ def l1_distance(a: GridFunction, b: GridFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ladder continuation and traces
+# ladder Cauchy diagnostics and traces
 
 
 def _far_from(sample: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
@@ -262,32 +262,14 @@ def _far_from(sample: np.ndarray, points: np.ndarray, radius: float) -> np.ndarr
     return np.minimum(np.abs(sample - lo), np.abs(sample - hi)) > radius
 
 
-def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
-                         u_left: float, u_right: float,
-                         eps_ladder: Sequence[float]) -> dict:
-    """Warm-started solves along a strictly decreasing eps ladder with
-    pairwise L1 distances, TV trace, and a pointwise-Cauchy verdict away from
+def ladder_cauchy(solutions: Sequence[ScalarSolution]) -> dict:
+    """Cauchy diagnostics of the solutions of a strictly decreasing eps
+    ladder: pairwise L1 distances, and a pointwise-Cauchy verdict away from
     steep-wave neighborhoods (``pointwise_samples`` of its 401 samples are
-    kept); ``solutions`` holds the converged solves."""
-    eps_ladder = [float(e) for e in eps_ladder]
+    kept)."""
+    eps_ladder = [s.eps for s in solutions]
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-
-    records = []
-    solutions: list[ScalarSolution] = []
-    failures = []
-    previous = None
-    for eps in eps_ladder:
-        cfg = replace(config, eps=eps)
-        try:
-            sol = solve_scalar(model, cfg, u_left, u_right, initial=previous)
-        except Exception as exc:  # noqa: BLE001 - recorded, not masked
-            failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        previous = sol.u
-        solutions.append(sol)
-        records.append({"eps": eps, "tv": sol.tv_u, "iterations": sol.iterations,
-                        "monotone": sol.monotone})
 
     distances = [l1_distance(a.u, b.u) for a, b in zip(solutions, solutions[1:])]
 
@@ -298,9 +280,9 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
     if len(solutions) >= 2:
         fine = solutions[-1]
         du = np.abs(np.gradient(fine.u.values, fine.u.xi))
-        jump = abs(u_right - u_left)
+        jump = abs(fine.u_right - fine.u_left)
         steep = fine.u.xi[du * fine.eps > 0.1 * jump] if jump else fine.u.xi[:0]
-        radius = 10.0 * eps_ladder[0] ** config.p
+        radius = 10.0 * eps_ladder[0] ** fine.p
         sample = np.linspace(-fine.u.M, fine.u.M, 401)
         sample = sample[_far_from(sample, steep, radius)]
         kept = len(sample)
@@ -312,16 +294,11 @@ def epsilon_continuation(model: ScalarCouplingModel, config: ScalarSolveConfig,
         return all(y <= x * (1.0 + 1e-9) + 1e-12 for x, y in zip(vals, vals[1:]))
 
     return {
-        "eps_ladder": eps_ladder,
-        "records": records,
-        "failures": failures,
         "l1_distances": distances,
         "l1_cauchy": nonincreasing(distances) if distances else True,
         "pointwise_sups": cauchy_sups,
         "pointwise_cauchy": nonincreasing(cauchy_sups) if cauchy_sups else True,
         "pointwise_samples": kept,
-        "tv_trace": [r["tv"] for r in records],
-        "solutions": solutions,
     }
 
 

@@ -30,6 +30,7 @@ whatever the extrapolation did.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .models import ScalarCouplingModel
 
 ANDERSON_DEPTH = 5
 ANDERSON_MIXING = 0.5
+FIX_TOL = 1e-10
 MAX_ITERS = 2500
 
 
@@ -68,12 +70,12 @@ class ScalarSolveConfig:
     p: float = 1.0
     M: float = 2.0
     grid_size: int | None = None
-    fix_tol: float = 1e-10
+    # the fixed tolerance, readable on an instance for error budgets
+    fix_tol: ClassVar[float] = FIX_TOL
 
     def __post_init__(self):
-        if not all(np.isfinite(x) and x > 0
-                   for x in (self.eps, self.p, self.M, self.fix_tol)):
-            raise ValueError("eps, p, M, fix_tol must be positive finite numbers")
+        if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p, self.M)):
+            raise ValueError("eps, p, M must be positive finite numbers")
         if self.grid_size is not None and self.grid_size < 64:
             raise ValueError("grid_size must be >= 64")
 
@@ -149,8 +151,8 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
     jump = abs(u_right - u_left)
     scale = jump if jump > 0 else 1.0
     # T(u) - u cannot fall below the spacing of the doubles at the data, so a
-    # jump of a few spacings stops there instead of at fix_tol * jump
-    tol = max(config.fix_tol, float(np.spacing(max(abs(u_left), abs(u_right)))) / scale)
+    # jump of a few spacings stops there instead of at FIX_TOL * jump
+    tol = max(FIX_TOL, float(np.spacing(max(abs(u_left), abs(u_right)))) / scale)
     if initial is not None:
         # warm start: interpolate onto this grid, re-pin the boundary data
         vals = np.interp(xi, initial.xi, initial.values)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import selfsim
+import selfsim.scalar
 from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, write_csv
 from selfsim.diagnostics import TraceWindowError
 
@@ -46,12 +48,13 @@ def test_flag_overrides_config_file(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    for data in ({"epsilon": 0.1}, {"seed": 0}):
+    for data in ({"epsilon": 0.1}, {"seed": 0}, {"fix_tol": 1e-10}):
         cfg_file.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(["solve-scalar", "--config", str(cfg_file)])
-    with pytest.raises(SystemExit):
-        parse_config(["solve-scalar", "--seed", "0"])
+    for flag in ("--seed", "--fix-tol"):
+        with pytest.raises(SystemExit):
+            parse_config(["solve-scalar", flag, "0"])
 
 
 def test_missing_config_file(tmp_path):
@@ -62,6 +65,28 @@ def test_missing_config_file(tmp_path):
 def test_ladder_must_decrease():
     with pytest.raises(ConfigError, match="strictly decreasing"):
         parse_config(["continuation", "--eps-ladder", "0.05,0.1"])
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"eps": "0.1"}, "--eps must be a positive finite number, got '0.1'"),
+    ({"eps": True}, "--eps must be a positive finite number, got True"),
+    ({"eps_ladder": 0.1}, "--eps-ladder must be a non-empty list, got 0.1"),
+    ({"eps_ladder": []}, "--eps-ladder must be a non-empty list, got []"),
+    ({"eps_ladder": [0.1, "0.05"]},
+     "--eps-ladder entry must be a positive finite number, got '0.05'"),
+    ({"grid": 100.5}, "--grid must be an integer >= 64, got 100.5"),
+], ids=["eps-string", "eps-bool", "ladder-number", "ladder-empty",
+        "ladder-string-entry", "grid-float"])
+def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
+                                                               data, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, **data}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(["solve-scalar", "--config", str(cfg_file)])
+    code, out = _run(tmp_path, "solve-scalar", "--config", str(cfg_file))
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_negative_eps_rejected():
@@ -155,7 +180,7 @@ def test_solve_scalar_artifacts(tmp_path):
                      "--uL", "1.0", "--uR", "0.0")
     assert code == 0
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["schema_version"] == 1
+    assert diag["schema_version"] == 2
     assert diag["monotone"] is True
     assert diag["tv_u"] <= 1.0 + 1e-9
     header = (out / "solution.csv").read_text().splitlines()[0]
@@ -244,7 +269,8 @@ def test_continuation_artifacts(tmp_path):
                      "--uL", "1.0", "--uR", "0.0", "--strict")
     assert code == 0
     report = json.loads((out / "continuation.json").read_text())
-    assert not report["failures"]
+    assert [r["eps"] for r in report["records"]] == [0.1, 0.05]
+    assert all(r["tv_u"] <= 1.0 + 1e-6 for r in report["records"])
     assert (out / "solution_eps0p1.csv").exists()
     assert (out / "solution_eps0p05.csv").exists()
     assert (out / "l1_distances.csv").exists()
@@ -282,6 +308,40 @@ def test_system_continuation_is_solve_system_per_rung(tmp_path):
         assert record == diag
 
 
+def test_scalar_continuation_is_solve_scalar_per_rung(tmp_path):
+    data = ["--model", "burgers-identical", "--uL", "1.0", "--uR", "0.0"]
+    code, out = _run(tmp_path / "ladder", "continuation", *data,
+                     "--eps-ladder", "0.1,0.05", "--strict")
+    assert code == 0
+    report = json.loads((out / "continuation.json").read_text())
+    assert sorted(_manifest(out)["outputs"]) == [
+        "continuation.json", "l1_distances.csv", "solution_eps0p05.csv",
+        "solution_eps0p1.csv"]
+    code, single = _run(tmp_path / "single", "solve-scalar", *data, "--eps", "0.1")
+    assert code == 0
+    diag = json.loads((single / "diagnostics.json").read_text())
+    diag.pop("schema_version")
+    assert [sorted(r) for r in report["records"]] == [sorted(diag)] * 2
+    assert [r["eps"] for r in report["records"]] == [0.1, 0.05]
+    # the first rung starts cold, as the single solve does; the second is
+    # warm-started from it
+    assert ((out / "solution_eps0p1.csv").read_bytes()
+            == (single / "solution.csv").read_bytes())
+    assert report["records"][0] == diag
+
+
+def test_scalar_continuation_names_the_failed_rung(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(selfsim.scalar, "MAX_ITERS", 2)
+    code, out = _run(tmp_path, "continuation", "--model", "burgers-identical",
+                     "--uL", "1.0", "--uR", "0.0", "--eps-ladder", "0.1,0.05")
+    assert code == 1
+    assert _manifest(out)["complete"] is False
+    err = capsys.readouterr().err
+    assert "RuntimeError: rung eps=0.1: NonConvergence" in err
+    assert "after 2 iterations" in err
+    assert not (out / "continuation.json").exists()
+
+
 def test_system_continuation_names_the_failed_rung(tmp_path, capsys):
     # a tau jump of 0.1, over five admissible radii: the first rung raises
     code, out = _run(tmp_path, "continuation", "--model", "p-system",
@@ -305,6 +365,14 @@ def test_trace_report_artifacts(tmp_path):
     assert code == 0
     report = json.loads((out / "trace_report.json").read_text())
     assert "trace_minus" in report and "trace_plus" in report
+    # the profiles the traces were fitted on, the same as continuation's
+    assert sorted(_manifest(out)["outputs"]) == [
+        "solution_eps0p05.csv", "solution_eps0p1.csv", "trace_report.json"]
+    code, ladder = _run(tmp_path / "ladder", "continuation", "--eps-ladder", "0.1,0.05",
+                        "--uL", "-0.5", "--uR", "-1.0")
+    assert code == 0
+    for name in ("solution_eps0p1.csv", "solution_eps0p05.csv"):
+        assert (out / name).read_bytes() == (ladder / name).read_bytes()
 
 
 def test_trace_report_resonant_stationary_shock(tmp_path):

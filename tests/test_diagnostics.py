@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selfsim.diagnostics import (_far_from, bump_family, epsilon_continuation,
-                                 exact_scalar_riemann, interface_trace_report,
-                                 kruzhkov_entropies, l1_distance,
-                                 riemann_soundness, weak_residual_report)
+from selfsim.diagnostics import (_far_from, bump_family, exact_scalar_riemann,
+                                 interface_trace_report, kruzhkov_entropies,
+                                 l1_distance, ladder_cauchy, riemann_soundness,
+                                 weak_residual_report)
 from selfsim.grid import GridFunction, uniform_grid
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 
@@ -116,12 +116,15 @@ def test_weak_residuals_rarefaction_strictly_negative(burgers):
 
 
 def test_continuation_ladder(burgers):
-    cfg = ScalarSolveConfig(eps=0.1)
-    report = epsilon_continuation(burgers, cfg, 1.0, 0.0, [0.1, 0.05, 0.025])
-    assert not report["failures"]
+    # warm-started solves down the ladder, as the CLI's scalar rungs run them
+    sols = []
+    for eps in (0.1, 0.05, 0.025):
+        sols.append(solve_scalar(burgers, ScalarSolveConfig(eps=eps), 1.0, 0.0,
+                                 initial=sols[-1].u if sols else None))
+    report = ladder_cauchy(sols)
     assert report["l1_cauchy"]
     assert report["pointwise_cauchy"]
-    assert all(tv <= 1.0 + 1e-9 for tv in report["tv_trace"])
+    assert all(s.tv_u <= 1.0 + 1e-9 for s in sols)
     assert all(b < a for a, b in zip(report["l1_distances"],
                                      report["l1_distances"][1:])) or \
         len(report["l1_distances"]) < 2
@@ -158,10 +161,12 @@ def test_far_from_memory_does_not_grow_with_the_steep_set():
     assert peak < 2 ** 20
 
 
-def test_continuation_rejects_bad_ladder(burgers):
-    cfg = ScalarSolveConfig(eps=0.1)
-    with pytest.raises(ValueError):
-        epsilon_continuation(burgers, cfg, 1.0, 0.0, [0.05, 0.1])
+def test_continuation_rejects_bad_ladder():
+    for ladder in ((0.05, 0.1), (0.1, 0.1)):
+        sols = [_synthetic_solution(lambda xi: np.tanh(xi / eps), eps, -1.0, 1.0)
+                for eps in ladder]
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ladder_cauchy(sols)
 
 
 def _synthetic_solution(values_of_xi, eps, uL, uR, M=2.0, n=4001):

@@ -4,6 +4,8 @@ import importlib
 import re
 from pathlib import Path
 
+from selfsim.cli import build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROW = re.compile(r"^\| `(\w+)` \| (`\w+`(?:, `\w+`)*) \| ([^|]+) \|")
 
@@ -26,3 +28,18 @@ def test_solver_constants_table_matches_the_modules():
         for name, value in zip(names, values):
             assert hasattr(mod, name), f"README names {module}.{name}, which does not exist"
             assert getattr(mod, name) == float(value), (module, name, value)
+
+
+def _parser_options() -> set[str]:
+    sub = next(a for a in build_parser()._actions if a.choices)
+    return {opt for sp in sub.choices.values() for a in sp._actions
+            for opt in a.option_strings}
+
+
+def test_readme_flags_are_cli_options():
+    # every --flag the README names, outside the pip install lines
+    lines = [line for line in README.read_text().splitlines()
+             if not line.lstrip().startswith("pip ")]
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", "\n".join(lines)))
+    assert {"--eps-ladder", "--strict", "--config", "--uL"} <= flags
+    assert flags <= _parser_options(), sorted(flags - _parser_options())

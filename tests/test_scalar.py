@@ -30,9 +30,10 @@ def test_config_validation():
         ScalarSolveConfig(eps=0.1, M=np.nan)
     with pytest.raises(ValueError):
         ScalarSolveConfig(eps=0.1, grid_size=10)
-    for bad in (np.nan, -1.0, 0.0):
-        with pytest.raises(ValueError, match="positive finite"):
-            ScalarSolveConfig(eps=0.1, fix_tol=bad)
+    # the fixed-point tolerance is a module constant, read on an instance
+    assert ScalarSolveConfig(eps=0.1).fix_tol == scalar_module.FIX_TOL == 1e-10
+    with pytest.raises(TypeError):
+        ScalarSolveConfig(eps=0.1, fix_tol=1e-8)
     assert ScalarSolveConfig(eps=0.05, M=2.0).resolved_grid_size() == 1600
 
 
@@ -62,7 +63,7 @@ def test_constant_data_is_a_fixed_point(burgers):
 
 def test_jump_of_one_double_spacing_converges(burgers):
     # the profile can only take the two data values, so T(u) - u cannot fall
-    # below their spacing: a stop at fix_tol * jump is never reached
+    # below their spacing: a stop at FIX_TOL * jump is never reached
     uL, uR = 1.3999999999999997, 1.4
     assert uR - uL == np.spacing(uL)
     sol = _solve(burgers, uL, uR, eps=0.1, grid_size=800)
