@@ -82,6 +82,19 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a positive finite number, got {val!r}")
         if self.grid is not None and not (_is_number(self.grid, int) and self.grid >= 64):
             raise ConfigError(f"--grid must be an integer >= 64, got {self.grid!r}")
+        for key in ("uL", "uR", "u"):
+            val = getattr(self, key)
+            entries = val if isinstance(val, list) and val else [val]
+            if val is not None and not all(_is_number(x) for x in entries):
+                raise ConfigError(f"--{key} must be a number or a non-empty list of "
+                                  f"numbers, got {val!r}")
+        for name, val, kind, what in (
+                ("--model", self.model, (str, dict), "a preset name or a model object"),
+                ("model_options", self.model_options, dict, "an object"),
+                ("--out", self.out, str, "a path"),
+                ("--strict", self.strict, bool, "true or false")):
+            if not isinstance(val, kind):
+                raise ConfigError(f"{name} must be {what}, got {val!r}")
         if ladder is not None:
             self.eps_ladder = [float(x) for x in ladder]
             if any(b >= a for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):
@@ -329,6 +342,9 @@ def _model_and_rung(cfg: RunConfig, kind: str | None = None):
         raise ConfigError(f"{cfg.command} requires a {kind} model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError(f"{cfg.command} requires --uL and --uR")
+    if scalar and not (_is_number(cfg.uL) and _is_number(cfg.uR)):
+        raise ConfigError(f"a scalar model takes a number for --uL and --uR, "
+                          f"got {cfg.uL!r} and {cfg.uR!r}")
     return model, _scalar_rung if scalar else _system_rung
 
 
@@ -337,6 +353,14 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     _, record, ok = rung(cfg, model, _single_eps(cfg), out / "solution.csv")
     write_json(out / "diagnostics.json", record)
     return ["solution.csv", "diagnostics.json"], ok
+
+
+def _frozen_eigen(model: SystemCouplingModel, u0: np.ndarray, xi: np.ndarray,
+                  v: np.ndarray):
+    """The pencil eigen-data of ``model`` frozen at the state ``u0`` on ``xi``."""
+    U = np.tile(u0, (len(xi), 1))
+    A, B, _ = model.pencil(U, v)
+    return pencil_eigen(A, B, U, v, xi)
 
 
 def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
@@ -351,9 +375,7 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     u0 = np.atleast_1d(np.asarray(cfg.u, dtype=float) if cfg.u is not None else model.u_ref)
     if u0.shape != (model.N,):
         raise ConfigError(f"--u has shape {u0.shape}; the model has N = {model.N} components")
-    U = np.tile(u0, (n, 1))
-    A, B, _ = model.pencil(U, v)
-    sweep = pencil_eigen(A, B, U, v, xi)
+    sweep = _frozen_eigen(model, u0, xi, v)
     N = model.N
     header = ["xi"] + [f"mu_{i + 1}" for i in range(N)] \
         + [f"lambda_{i + 1}" for i in range(N)] + [f"d_{i + 1}" for i in range(N)]
@@ -368,55 +390,46 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     return ["sweep.csv", "diagnostics.json"], True
 
 
-def _psi_factory(cfg: RunConfig, M: float):
-    """psi(xi) of the color profile on the grid the measure factories use."""
+def _lemma_factories(cfg: RunConfig, M: float, speeds):
+    """verify-lemmas' measure and psi factories on one grid rule, ``cfg.grid``
+    points or else ``default_grid_size(M, eps)``; ``speeds(xi, color)``
+    returns the class-L fields ``(mu, lam_low, lam_high)`` on that grid."""
+    def rung(eps):
+        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
+        return uniform_grid(M, n), ColorProfile(eps, cfg.p, M)
+
+    def measure_factory(eps):
+        xi, color = rung(eps)
+        mu, lam_low, lam_high = speeds(xi, color)
+        return build_phi_star(xi, mu, eps, lam_low, lam_high)
+
     def psi_factory(eps):
-        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
-        xi = uniform_grid(M, n)
-        return ColorProfile(eps, cfg.p, M).evaluate_psi(xi)
+        xi, color = rung(eps)
+        return color.evaluate_psi(xi)
 
-    return psi_factory
-
-
-def _fixture_factories(cfg: RunConfig):
-    M = cfg.M if cfg.M is not None else 2.0
-    lams = cfg.model_options.get("speeds", [-1.2, 0.4])
-    halfwidth = cfg.model_options.get("band_halfwidth", 0.1)
-
-    def measure_factory(eps):
-        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
-        xi = uniform_grid(M, n)
-        mu, lo, hi = constant_speed_fields(xi, lams, band_halfwidth=halfwidth)
-        return build_phi_star(xi, mu, eps, lo, hi)
-
-    return measure_factory, _psi_factory(cfg, M)
-
-
-def _model_factories(cfg: RunConfig, model: SystemCouplingModel):
-    M = cfg.M if cfg.M is not None else model.M
-
-    def measure_factory(eps):
-        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
-        xi = uniform_grid(M, n)
-        v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
-        U = np.tile(model.u_ref, (n, 1))
-        A, B, _ = model.pencil(U, v)
-        mu = pencil_eigen(A, B, U, v, xi).mu
-        return build_phi_star(xi, mu, eps, model.lam_low, model.lam_high)
-
-    return measure_factory, _psi_factory(cfg, M)
+    return measure_factory, psi_factory
 
 
 def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     ladder = _eps_list(cfg, need_ladder=True)
     if str(cfg.model) == "two-band-fixture":
-        measure_factory, psi_factory = _fixture_factories(cfg)
+        M = cfg.M if cfg.M is not None else 2.0
+        lams = cfg.model_options.get("speeds", [-1.2, 0.4])
+        halfwidth = cfg.model_options.get("band_halfwidth", 0.1)
+
+        def speeds(xi, color):
+            return constant_speed_fields(xi, lams, band_halfwidth=halfwidth)
     else:
         model = _build_model(cfg)
         if not isinstance(model, SystemCouplingModel):
             raise ConfigError("verify-lemmas requires a system model or "
                               "the 'two-band-fixture'")
-        measure_factory, psi_factory = _model_factories(cfg, model)
+        M = cfg.M if cfg.M is not None else model.M
+
+        def speeds(xi, color):
+            sweep = _frozen_eigen(model, model.u_ref, xi, color.evaluate_v(xi))
+            return sweep.mu, model.lam_low, model.lam_high
+    measure_factory, psi_factory = _lemma_factories(cfg, M, speeds)
     report = verify_bounds(measure_factory, ladder, psi_factory)
     write_json(out / "lemma_report.json", report)
     with (out / "lemma_constants.csv").open("w") as fh:

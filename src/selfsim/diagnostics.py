@@ -29,6 +29,7 @@ WEAK_TOLERANCE = 1e-3   # pass mark of every weak residual
 KRUZHKOV_COUNT = 9      # entropies |w - k| at interior points k of the data
 RIEMANN_SAMPLES = 4001  # flux samples of the exact Riemann construction
 RIEMANN_TOL = 1e-6      # pass mark of the Rankine-Hugoniot and Oleinik checks
+JUMP_FLOOR = 1e-7       # relative jump below which the oracle lists no shock
 TRACE_AGREE_TOL = 1e-2  # one-sided traces closer than this agree
 
 
@@ -211,7 +212,9 @@ def exact_scalar_riemann(flux: Callable, u_left: float,
     states = us[hull]
     speeds = np.diff(fs[hull]) / np.diff(states)
     speeds = np.maximum.accumulate(speeds)  # guard rounding monotonicity
-    gap = 10.0 * (u_right - u_left) / (RIEMANN_SAMPLES - 1)
+    # the chord slopes of a jump below JUMP_FLOOR are rounding noise
+    gap = max(10.0 * (u_right - u_left) / (RIEMANN_SAMPLES - 1),
+              JUMP_FLOOR * max(1.0, abs(u_left), abs(u_right)))
     shocks = tuple((float(speeds[k]), float(states[k]), float(states[k + 1]))
                    for k in range(len(speeds))
                    if states[k + 1] - states[k] > gap)

@@ -24,6 +24,7 @@ minimizer rho_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -131,8 +132,12 @@ class TransferResult:
 
 
 def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
-                   i: int, anchor: int) -> TransferResult:
+                   i: int, anchor: int | None = None) -> TransferResult:
+    """Both organizations of the transfer into family i, anchored at c_i
+    unless ``anchor`` (a grid index) is given."""
     xi = measures.xi
+    if anchor is None:
+        anchor = int(measures.c_index[i])
     a = weighted_transfer(measures.log_phi[None, :, i], log_source[None], xi, [anchor])[0]
     b = _transfer_via_rho(log_source, measures.log_phi[:, i], xi, anchor,
                           int(measures.rho_index[i]))
@@ -147,22 +152,17 @@ def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
 
 def compute_J(measures: WaveMeasureSet, j: int, i: int) -> TransferResult:
     """Linear coefficient J_{j->i}; indices are 0-based families."""
-    anchor = int(measures.c_index[i])
-    return _dual_transfer(measures, measures.log_phi[:, j], i, anchor)
+    return _dual_transfer(measures, measures.log_phi[:, j], i)
 
 
 def compute_F(measures: WaveMeasureSet, j: int, k: int, i: int) -> TransferResult:
     """Quadratic coefficient F_{j,k->i}."""
-    anchor = int(measures.c_index[i])
-    log_source = measures.log_phi[:, j] + measures.log_phi[:, k]
-    return _dual_transfer(measures, log_source, i, anchor)
+    return _dual_transfer(measures, measures.log_phi[:, j] + measures.log_phi[:, k], i)
 
 
 def compute_J_psi(measures: WaveMeasureSet, psi: np.ndarray, j: int, i: int) -> TransferResult:
     """Color-coupled coefficient J^psi_{j->i} for a nonnegative weight psi."""
-    anchor = int(measures.c_index[i])
-    log_source = log_of(psi) + measures.log_phi[:, j]
-    return _dual_transfer(measures, log_source, i, anchor)
+    return _dual_transfer(measures, log_of(psi) + measures.log_phi[:, j], i)
 
 
 def constant_speed_fields(xi: np.ndarray, lams: Sequence[float],
@@ -181,21 +181,37 @@ def constant_speed_fields(xi: np.ndarray, lams: Sequence[float],
 # lemma verification harness
 
 
-def _fit_slope(eps_ladder, values) -> float:
-    """Least-squares slope of log(value) against log(eps)."""
-    vals = np.maximum(np.asarray(values, dtype=float), 1e-300)
-    return float(np.polyfit(np.log(eps_ladder), np.log(vals), 1)[0])
+def _fit_slope(per_eps: dict, x=np.log) -> float:
+    """Least-squares slope of log(value) against x(eps) over the rungs."""
+    vals = np.maximum(np.asarray(list(per_eps.values()), dtype=float), 1e-300)
+    return float(np.polyfit(x(np.asarray(list(per_eps))), np.log(vals), 1)[0])
+
+
+def _sup_ratio(values: np.ndarray, denom: np.ndarray, keep=None) -> float:
+    """sup |values| / denom over ``keep``, by default where denom > 1e-250."""
+    keep = denom > 1e-250 if keep is None else keep
+    return float((np.abs(values[keep]) / denom[keep]).max())
+
+
+def _spread(per_eps: dict) -> float:
+    """(max - min) / max of the per-rung values."""
+    vals = list(per_eps.values())
+    return float((max(vals) - min(vals)) / max(max(vals), 1e-300))
 
 
 def verify_bounds(measure_factory, eps_ladder: Sequence[float],
                   psi_factory=None) -> dict:
     """Fit the structural constants of the transfer-coefficient bounds over an
-    eps ladder and return verdicts (never exceptions).
+    eps ladder and return verdicts (never exceptions, once the ladder has
+    the two distinct rungs that a slope fit needs).
 
     measure_factory(eps) -> WaveMeasureSet on a shared-band model;
     psi_factory(eps) -> nonnegative weight array on the same grid (optional).
+    Every estimate is a per-rung value evaluated on every rung by ``ladder``.
     """
     eps_ladder = [float(e) for e in eps_ladder]
+    if len(set(eps_ladder)) < 2:
+        raise ValueError(f"a slope fit needs two distinct rungs, got the ladder {eps_ladder}")
     sets = {eps: measure_factory(eps) for eps in eps_ladder}
     first = sets[eps_ladder[0]]
     N = first.N
@@ -206,148 +222,98 @@ def verify_bounds(measure_factory, eps_ladder: Sequence[float],
         report["checks"].append({"name": name, "per_eps": per_eps,
                                  "passed": bool(passed), **extra})
 
+    def add_bounded(name, per_eps, top):
+        add(name, per_eps, all(v <= top for v in per_eps.values()))
+
+    def ladder(value):
+        """value(eps, measures) on every rung, as {eps: float}."""
+        return {eps: float(value(eps, m)) for eps, m in sets.items()}
+
     # worst cross-check of every transfer coefficient evaluated, per eps
-    crosscheck = dict.fromkeys(eps_ladder, 0.0)
+    crosscheck = dict.fromkeys(sets, 0.0)
 
     def transfer(eps, coefficient, *args):
         result = coefficient(sets[eps], *args)
         crosscheck[eps] = max(crosscheck[eps], result.crosscheck)
         return result.values.values
 
-    # unit mass
-    mass_dev = {eps: float(max(abs(np.trapezoid(sets[eps].phi[:, i], sets[eps].xi) - 1.0)
-                               for i in range(N))) for eps in eps_ladder}
-    add("unit mass |int phi - 1|", mass_dev, all(v <= 1e-8 for v in mass_dev.values()))
+    add_bounded("unit mass |int phi - 1|", ladder(lambda eps, m: max(
+        abs(np.trapezoid(m.phi[:, i], m.xi) - 1.0) for i in range(N))), 1e-8)
 
     # mass bound c eps <= I <= 2M
-    ratios = {eps: float(min(sets[eps].I) / eps) for eps in eps_ladder}
-    upper_ok = all(sets[eps].I.max() <= 2 * M + 1e-12 for eps in eps_ladder)
+    ratios = ladder(lambda eps, m: min(m.I) / eps)
+    upper_ok = all(m.I.max() <= 2 * M + 1e-12 for m in sets.values())
     add("mass bound c*eps <= I <= 2M", ratios,
         upper_ok and min(ratios.values()) > 0,
         fitted_lower_c=float(min(ratios.values())))
 
     # self-transfer pointwise bound
-    self_ok = True
-    self_sup = {}
-    for eps in eps_ladder:
-        m = sets[eps]
-        worst = 0.0
-        for i in range(N):
-            J = transfer(eps, compute_J, i, i)
-            bound = 2 * M * m.phi[:, i]
-            keep = m.phi[:, i] > 1e-250
-            worst = max(worst, float((np.abs(J[keep]) / bound[keep]).max()))
-        self_sup[eps] = worst
-        self_ok = self_ok and worst <= 1.0 + 1e-9
-    add("|J_{i->i}| <= 2M phi_i", self_sup, self_ok)
+    add_bounded("|J_{i->i}| <= 2M phi_i", ladder(lambda eps, m: max(
+        _sup_ratio(transfer(eps, compute_J, i, i), 2 * M * m.phi[:, i], m.phi[:, i] > 1e-250)
+        for i in range(N))), 1.0 + 1e-9)
 
-    # cross-family linear coefficient is O(eps)
     if N > 1:
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                sups = {}
-                for eps in eps_ladder:
-                    m = sets[eps]
-                    J = transfer(eps, compute_J, j, i)
-                    denom = m.phi[:, i] + m.phi[:, j]
-                    keep = denom > 1e-250
-                    sups[eps] = float((np.abs(J[keep]) / denom[keep]).max())
-                slope = _fit_slope(eps_ladder, list(sups.values()))
-                add(f"|J_{{{j + 1}->{i + 1}}}| = O(eps)(phi_i+phi_j)", sups,
-                    slope >= 0.8, fitted_slope=slope)
-
-        # quadratic coefficient with bounded constant
-        for i in range(N):
-            for j in range(N):
-                for k in range(j, N):
-                    sups = {}
-                    for eps in eps_ladder:
-                        m = sets[eps]
-                        F = transfer(eps, compute_F, j, k, i)
-                        denom = m.phi[:, i] + m.phi[:, j] + m.phi[:, k]
-                        keep = denom > 1e-250
-                        sups[eps] = float((np.abs(F[keep]) / denom[keep]).max())
-                    slope = _fit_slope(eps_ladder, list(sups.values()))
-                    add(f"|F_{{{j + 1},{k + 1}->{i + 1}}}| <= C(phi_i+phi_j+phi_k)",
-                        sups, slope >= -0.2, fitted_slope=slope)
+        # cross-family linear coefficient is O(eps), quadratic coefficient
+        # with bounded constant: (name, coefficient, its arguments, the
+        # families of the denominator, least slope)
+        fits = [(f"|J_{{{j + 1}->{i + 1}}}| = O(eps)(phi_i+phi_j)",
+                 compute_J, (j, i), (i, j), 0.8)
+                for i, j in permutations(range(N), 2)]
+        fits += [(f"|F_{{{j + 1},{k + 1}->{i + 1}}}| <= C(phi_i+phi_j+phi_k)",
+                  compute_F, (j, k, i), (i, j, k), -0.2)
+                 for i, (j, k) in product(range(N), combinations_with_replacement(range(N), 2))]
+        for name, coefficient, args, families, least in fits:
+            sups = ladder(lambda eps, m: _sup_ratio(transfer(eps, coefficient, *args),
+                                                    sum(m.phi[:, f] for f in families)))
+            slope = _fit_slope(sups)
+            add(name, sups, slope >= least, fitted_slope=slope)
 
         # color-coupled coefficient with bounded constant
         if psi_factory is not None:
-            pair_sups: dict[tuple[int, int], dict] = {}
-            for i in range(N):
-                for j in range(N):
-                    sups = {}
-                    for eps in eps_ladder:
-                        m = sets[eps]
-                        psi = np.asarray(psi_factory(eps), dtype=float)
-                        norm1 = float(np.trapezoid(np.abs(psi), m.xi))
-                        Jp = transfer(eps, compute_J_psi, psi, j, i)
-                        denom = norm1 * (m.phi[:, i] + m.phi[:, j])
-                        keep = denom > 1e-250
-                        sups[eps] = float((np.abs(Jp[keep]) / denom[keep]).max())
-                    pair_sups[(j, i)] = sups
-                    slope = _fit_slope(eps_ladder, list(sups.values()))
-                    vals = list(sups.values())
-                    spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
-                    add(f"|J^psi_{{{j + 1}->{i + 1}}}| <= C ||psi||_1 (phi_j+phi_i)",
-                        sups, slope >= -0.2, fitted_slope=slope,
-                        relative_spread=float(spread))
+            psi = {eps: np.asarray(psi_factory(eps), dtype=float) for eps in sets}
+            norm1 = {eps: float(np.trapezoid(np.abs(psi[eps]), m.xi)) for eps, m in sets.items()}
+            pair_sups = []
+            for i, j in product(range(N), repeat=2):
+                sups = ladder(lambda eps, m: _sup_ratio(
+                    transfer(eps, compute_J_psi, psi[eps], j, i),
+                    norm1[eps] * (m.phi[:, i] + m.phi[:, j])))
+                pair_sups.append(sups)
+                slope = _fit_slope(sups)
+                add(f"|J^psi_{{{j + 1}->{i + 1}}}| <= C ||psi||_1 (phi_j+phi_i)",
+                    sups, slope >= -0.2, fitted_slope=slope, relative_spread=_spread(sups))
             # the fitted constant sup_pairs C(eps) must be stable across the
             # ladder (the extremal pair includes self-transfers j = i)
-            per_eps = {eps: float(max(s[eps] for s in pair_sups.values()))
-                       for eps in eps_ladder}
-            vals = list(per_eps.values())
-            spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
+            per_eps = {eps: max(s[eps] for s in pair_sups) for eps in sets}
+            spread = _spread(per_eps)
             add("J^psi fitted constant stability", per_eps,
-                spread < 0.25, relative_spread=float(spread))
+                spread < 0.25, relative_spread=spread)
 
-        # cross-band suppression: sup over band j of phi_i / phi_j
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                sups = {}
-                for eps in eps_ladder:
-                    m = sets[eps]
-                    band = (m.xi >= m.lam_low[j]) & (m.xi <= m.lam_high[j])
-                    sups[eps] = float(np.exp(
-                        (m.log_phi[band, i] - m.log_phi[band, j]).max()))
-                # log sup ~ log C - D / eps
-                inv_eps = np.array([1.0 / e for e in eps_ladder])
-                logs = np.log(np.maximum(list(sups.values()), 1e-300))
-                D = -float(np.polyfit(inv_eps, logs, 1)[0])
-                add(f"band-{j + 1} suppression of phi_{i + 1}", sups,
-                    D > 0, fitted_D=D)
+        # cross-band suppression: sup over band j of phi_i / phi_j, with
+        # log sup ~ log C - D / eps
+        for i, j in permutations(range(N), 2):
+            sups = ladder(lambda eps, m: np.exp((m.log_phi[:, i] - m.log_phi[:, j])[
+                (m.xi >= m.lam_low[j]) & (m.xi <= m.lam_high[j])].max()))
+            D = -_fit_slope(sups, np.reciprocal)
+            add(f"band-{j + 1} suppression of phi_{i + 1}", sups, D > 0, fitted_D=D)
 
-    # linear-in-eps tail integral: int phi(x', y; -h) dx' <= eps / h_min on
-    # subintervals where the speed field stays >= h_min > 0
-    tail = {}
-    tail_ok = True
-    for eps in eps_ladder:
-        m = sets[eps]
+    def tail(eps, m):
+        """Worst h_min / eps * int_{x'}^{y} exp(-(g_i(x') - g_i(y)) / eps) dx'
+        over the families, on a subinterval left of the band where the
+        speed field stays >= h_min > 0."""
         worst = 0.0
         for i in range(N):
-            mu_i = -np.gradient(m.g[:, i], m.xi)
             left = m.xi <= m.lam_low[i] - 0.05 * (m.xi[-1] - m.lam_low[i] + 1)
-            if left.sum() < 4:
-                continue
-            h_min = float(mu_i[left].min())
-            if h_min <= 0:
-                continue
-            idx = np.where(left)[0]
-            y = idx[-1]
-            # int_{x'}^{y} exp(-(g_i(x') - g_i(y))/eps) dx' over the subinterval
-            seg = idx
-            expo = -(m.g[seg, i] - m.g[y, i]) / eps
-            val = float(np.trapezoid(np.exp(np.minimum(expo, 0.0)), m.xi[seg]))
-            worst = max(worst, val * h_min / eps)
-        tail[eps] = worst
-        tail_ok = tail_ok and worst <= 1.0 + 1e-6
-    add("tail integral <= eps / h_min", tail, tail_ok)
-    add("transfer cross-check", crosscheck,
-        all(v <= CROSSCHECK_TOL for v in crosscheck.values()))
+            h_min = float((-np.gradient(m.g[:, i], m.xi))[left].min()) if left.sum() >= 4 else 0.0
+            if h_min > 0:
+                seg = np.flatnonzero(left)
+                expo = -(m.g[seg, i] - m.g[seg[-1], i]) / eps
+                val = float(np.trapezoid(np.exp(np.minimum(expo, 0.0)), m.xi[seg]))
+                worst = max(worst, val * h_min / eps)
+        return worst
+
+    # linear-in-eps tail integral: int phi(x', y; -h) dx' <= eps / h_min
+    add_bounded("tail integral <= eps / h_min", ladder(tail), 1.0 + 1e-6)
+    add_bounded("transfer cross-check", crosscheck, CROSSCHECK_TOL)
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report

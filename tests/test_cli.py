@@ -13,7 +13,7 @@ import pytest
 
 import selfsim
 import selfsim.scalar
-from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, write_csv
+from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, run, write_csv
 from selfsim.diagnostics import TraceWindowError
 
 
@@ -75,18 +75,35 @@ def test_ladder_must_decrease():
     ({"eps_ladder": [0.1, "0.05"]},
      "--eps-ladder entry must be a positive finite number, got '0.05'"),
     ({"grid": 100.5}, "--grid must be an integer >= 64, got 100.5"),
+    ({"out": 5}, "--out must be a path, got 5"),
+    ({"model_options": 5}, "model_options must be an object, got 5"),
+    ({"strict": "false"}, "--strict must be true or false, got 'false'"),
+    ({"model": 5}, "--model must be a preset name or a model object, got 5"),
+    ({"uL": "a"}, "--uL must be a number or a non-empty list of numbers, got 'a'"),
+    ({"uL": True}, "--uL must be a number or a non-empty list of numbers, got True"),
+    ({"uR": []}, "--uR must be a number or a non-empty list of numbers, got []"),
+    ({"u": [0.1, None]},
+     "--u must be a number or a non-empty list of numbers, got [0.1, None]"),
+    # well-typed, but a scalar model takes no vector data
+    ({"uL": [1.0, 2.0]},
+     "a scalar model takes a number for --uL and --uR, got [1.0, 2.0] and 0.0"),
 ], ids=["eps-string", "eps-bool", "ladder-number", "ladder-empty",
-        "ladder-string-entry", "grid-float"])
-def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
+        "ladder-string-entry", "grid-float", "out-number", "model-options-number",
+        "strict-string", "model-number", "uL-string", "uL-bool", "uR-empty",
+        "u-null-entry", "scalar-model-vector-uL"])
+def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                                data, message):
+    # no --out flag, which would override the config file's "out"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SELFSIM_OUT_ROOT", raising=False)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, **data}))
+    argv = ["solve-scalar", "--config", str(cfg_file)]
     with pytest.raises(ConfigError, match=re.escape(message)):
-        parse_config(["solve-scalar", "--config", str(cfg_file)])
-    code, out = _run(tmp_path, "solve-scalar", "--config", str(cfg_file))
-    assert code == 1
+        run(parse_config(argv))
+    assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg_file]
 
 
 def test_negative_eps_rejected():
@@ -251,6 +268,15 @@ def test_verify_lemmas_fixture(tmp_path):
     csv = (out / "lemma_constants.csv").read_text().splitlines()
     assert csv[0] == "check,eps,value,passed"
     assert len(csv) > 10
+
+
+def test_verify_lemmas_one_rung_ladder_is_an_error(tmp_path, capsys):
+    # no slope can be fitted through one rung
+    code, out = _run(tmp_path, "verify-lemmas", "--model", "two-band-fixture",
+                     "--eps-ladder", "0.1", "--strict")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert _manifest(out)["complete"] is False
 
 
 def test_verify_lemmas_resonant_fixture_config(tmp_path):

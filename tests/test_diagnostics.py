@@ -55,6 +55,7 @@ def test_nonconvex_flux_composite_wave():
 
 @settings(deadline=None, max_examples=25)
 @given(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
+@example(-0.19999999999999996, -0.2)  # data two ulps apart: no genuine shock
 def test_oracle_soundness_random_data(uL, uR):
     sol = exact_scalar_riemann(BURGERS, uL, uR)
     assert riemann_soundness(BURGERS, sol)["passed"]

@@ -184,6 +184,68 @@ def test_verify_bounds_single_family():
     assert report["passed"], report
 
 
+TWO_FAMILY_CHECKS = [
+    "unit mass |int phi - 1|",
+    "mass bound c*eps <= I <= 2M",
+    "|J_{i->i}| <= 2M phi_i",
+    "|J_{2->1}| = O(eps)(phi_i+phi_j)",
+    "|J_{1->2}| = O(eps)(phi_i+phi_j)",
+    "|F_{1,1->1}| <= C(phi_i+phi_j+phi_k)",
+    "|F_{1,2->1}| <= C(phi_i+phi_j+phi_k)",
+    "|F_{2,2->1}| <= C(phi_i+phi_j+phi_k)",
+    "|F_{1,1->2}| <= C(phi_i+phi_j+phi_k)",
+    "|F_{1,2->2}| <= C(phi_i+phi_j+phi_k)",
+    "|F_{2,2->2}| <= C(phi_i+phi_j+phi_k)",
+    "|J^psi_{1->1}| <= C ||psi||_1 (phi_j+phi_i)",
+    "|J^psi_{2->1}| <= C ||psi||_1 (phi_j+phi_i)",
+    "|J^psi_{1->2}| <= C ||psi||_1 (phi_j+phi_i)",
+    "|J^psi_{2->2}| <= C ||psi||_1 (phi_j+phi_i)",
+    "J^psi fitted constant stability",
+    "band-2 suppression of phi_1",
+    "band-1 suppression of phi_2",
+    "tail integral <= eps / h_min",
+    "transfer cross-check",
+]
+
+
+def test_verify_bounds_enumerates_every_check_in_order():
+    ladder = [0.1, 0.05]
+
+    def psi_factory(eps):
+        return ColorProfile(eps, 1.0, M).evaluate_psi(uniform_grid(M, 1601))
+
+    report = verify_bounds(lambda eps: _measures(eps=eps, n=1601), ladder, psi_factory)
+    assert [c["name"] for c in report["checks"]] == TWO_FAMILY_CHECKS
+    for check in report["checks"]:
+        assert list(check["per_eps"]) == ladder
+    # one family: no cross-family, quadratic, color or suppression estimate
+    report = verify_bounds(lambda eps: _measures(lams=(0.3,), eps=eps, n=1601),
+                           ladder, psi_factory)
+    assert [c["name"] for c in report["checks"]] == (
+        TWO_FAMILY_CHECKS[:3] + TWO_FAMILY_CHECKS[-2:])
+
+
+@pytest.mark.parametrize("ladder", [[0.1], [0.1, 0.1]])
+def test_verify_bounds_rejects_a_ladder_without_two_distinct_rungs(ladder):
+    def measure_factory(eps):
+        raise AssertionError("a measure was built")
+
+    with pytest.raises(ValueError, match="two distinct rungs"):
+        verify_bounds(measure_factory, ladder)
+
+
+def test_verify_bounds_fits_an_increasing_ladder():
+    def fitted(ladder):
+        report = verify_bounds(lambda eps: _measures(eps=eps, n=int(80 * M / eps)), ladder)
+        return {c["name"]: c.get("fitted_slope", c.get("fitted_D"))
+                for c in report["checks"]}
+
+    forward, backward = fitted([0.1, 0.05]), fitted([0.05, 0.1])
+    assert forward.keys() == backward.keys()
+    for name, value in forward.items():
+        assert backward[name] == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
 def test_verify_bounds_reports_the_transfer_crosscheck(monkeypatch):
     ladder = [0.1, 0.05]
 
