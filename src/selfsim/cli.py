@@ -390,35 +390,13 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     return ["sweep.csv", "diagnostics.json"], True
 
 
-def _lemma_factories(cfg: RunConfig, M: float, speeds):
-    """verify-lemmas' measure and psi factories on one grid rule, ``cfg.grid``
-    points or else ``default_grid_size(M, eps)``; ``speeds(xi, color)``
-    returns the class-L fields ``(mu, lam_low, lam_high)`` on that grid."""
-    def rung(eps):
-        n = cfg.grid if cfg.grid is not None else default_grid_size(M, eps)
-        return uniform_grid(M, n), ColorProfile(eps, cfg.p, M)
-
-    def measure_factory(eps):
-        xi, color = rung(eps)
-        mu, lam_low, lam_high = speeds(xi, color)
-        return build_phi_star(xi, mu, eps, lam_low, lam_high)
-
-    def psi_factory(eps):
-        xi, color = rung(eps)
-        return color.evaluate_psi(xi)
-
-    return measure_factory, psi_factory
-
-
 def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     ladder = _eps_list(cfg, need_ladder=True)
-    if str(cfg.model) == "two-band-fixture":
+    fixture = str(cfg.model) == "two-band-fixture"
+    if fixture:
         M = cfg.M if cfg.M is not None else 2.0
         lams = cfg.model_options.get("speeds", [-1.2, 0.4])
         halfwidth = cfg.model_options.get("band_halfwidth", 0.1)
-
-        def speeds(xi, color):
-            return constant_speed_fields(xi, lams, band_halfwidth=halfwidth)
     else:
         model = _build_model(cfg)
         if not isinstance(model, SystemCouplingModel):
@@ -426,10 +404,23 @@ def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
                               "the 'two-band-fixture'")
         M = cfg.M if cfg.M is not None else model.M
 
-        def speeds(xi, color):
-            sweep = _frozen_eigen(model, model.u_ref, xi, color.evaluate_v(xi))
-            return sweep.mu, model.lam_low, model.lam_high
-    measure_factory, psi_factory = _lemma_factories(cfg, M, speeds)
+    def grid(eps):
+        """The one grid rule: ``cfg.grid`` points, else default_grid_size(M, eps)."""
+        return uniform_grid(M, cfg.grid if cfg.grid is not None else default_grid_size(M, eps))
+
+    def measure_factory(eps):
+        xi = grid(eps)
+        if fixture:
+            mu, lam_low, lam_high = constant_speed_fields(xi, lams, band_halfwidth=halfwidth)
+        else:
+            v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
+            mu = _frozen_eigen(model, model.u_ref, xi, v).mu
+            lam_low, lam_high = model.lam_low, model.lam_high
+        return build_phi_star(xi, mu, eps, lam_low, lam_high)
+
+    def psi_factory(eps):
+        return ColorProfile(eps, cfg.p, M).evaluate_psi(grid(eps))
+
     report = verify_bounds(measure_factory, ladder, psi_factory)
     write_json(out / "lemma_report.json", report)
     with (out / "lemma_constants.csv").open("w") as fh:

@@ -132,12 +132,10 @@ class TransferResult:
 
 
 def _dual_transfer(measures: WaveMeasureSet, log_source: np.ndarray,
-                   i: int, anchor: int | None = None) -> TransferResult:
-    """Both organizations of the transfer into family i, anchored at c_i
-    unless ``anchor`` (a grid index) is given."""
+                   i: int) -> TransferResult:
+    """Both organizations of the transfer into family i, anchored at c_i."""
     xi = measures.xi
-    if anchor is None:
-        anchor = int(measures.c_index[i])
+    anchor = int(measures.c_index[i])
     a = weighted_transfer(measures.log_phi[None, :, i], log_source[None], xi, [anchor])[0]
     b = _transfer_via_rho(log_source, measures.log_phi[:, i], xi, anchor,
                           int(measures.rho_index[i]))

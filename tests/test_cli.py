@@ -84,13 +84,10 @@ def test_ladder_must_decrease():
     ({"uR": []}, "--uR must be a number or a non-empty list of numbers, got []"),
     ({"u": [0.1, None]},
      "--u must be a number or a non-empty list of numbers, got [0.1, None]"),
-    # well-typed, but a scalar model takes no vector data
-    ({"uL": [1.0, 2.0]},
-     "a scalar model takes a number for --uL and --uR, got [1.0, 2.0] and 0.0"),
 ], ids=["eps-string", "eps-bool", "ladder-number", "ladder-empty",
         "ladder-string-entry", "grid-float", "out-number", "model-options-number",
         "strict-string", "model-number", "uL-string", "uL-bool", "uR-empty",
-        "u-null-entry", "scalar-model-vector-uL"])
+        "u-null-entry"])
 def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                                data, message):
     # no --out flag, which would override the config file's "out"
@@ -100,10 +97,22 @@ def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
     cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, **data}))
     argv = ["solve-scalar", "--config", str(cfg_file)]
     with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
+    # well-typed, so it passes parse_config; the model it names takes no vector data
+    message = "a scalar model takes a number for --uL and --uR, got [1.0, 2.0] and 0.0"
+    argv = ["solve-scalar", "--uL", "1.0,2.0", "--uR", "0.0", "--out", str(tmp_path / "run")]
+    with pytest.raises(ConfigError, match=re.escape(message)):
         run(parse_config(argv))
     assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg_file]
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_negative_eps_rejected():
