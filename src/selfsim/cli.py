@@ -405,7 +405,6 @@ def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
         M = cfg.M if cfg.M is not None else model.M
 
     def grid(eps):
-        """The one grid rule: ``cfg.grid`` points, else default_grid_size(M, eps)."""
         return uniform_grid(M, cfg.grid if cfg.grid is not None else default_grid_size(M, eps))
 
     def measure_factory(eps):
