@@ -202,19 +202,156 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
+
+# The "%.17g" kernel.  For x != 0 with k = floor(log10|x|), |x| * 10**(16 - k)
+# is formed in double-double: Dekker's exact two-product of |x| with the
+# leading part of a (hi, lo) table of powers of ten, plus |x| * lo.  Its
+# fraction is good to about 1e-14, so it rounds to the 17 digits D of "%.17g"
+# unless it lies within 1e-9 of 1/2.  Such ties, values outside
+# [1e-280, 1e16) other than zero (the table holds 10**j for 0 <= j <= 300,
+# whose split must not overflow), inf and nan are formatted by Python's "%".
+_SPLIT = 134217729.0                      # 2**27 + 1
+_K0 = -330                                # the k-indexed tables start at k = _K0
+
+
+def _split(x):
+    """Dekker's split of ``x`` into two halves of 26 bits."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows hi, lo and hi's split, with hi + lo = 10**j to 2**-106 for
+    0 <= j <= 300, from exact integer arithmetic."""
+    powers = [10 ** j for j in range(301)]
+    hi = np.array([float(p) for p in powers])
+    lo = np.array([float(p - int(h)) for p, h in zip(powers, hi.tolist())])
+    return np.stack([hi, lo, *_split(hi)])
+
+
+def _keep_table() -> np.ndarray:
+    """For each layout code, which bytes of a value's 46-byte row it writes.
+
+    The row holds "-0." at 0..2, the 20 ASCII digits of D as 0..9 and four
+    4-digit groups at 3..22 (digit i of D at 6 + i, so that the three zeros
+    before it serve "0.000"), "." at 23, digits 1..16 of D again at 24..39,
+    "e" at 40, the exponent's sign and three digits at 41..44 and the
+    separator at 45.  The code is ``391 * sign + 17 * case + nd - 1``, where
+    nd counts the digits left when trailing zeros are stripped and case is k
+    for 0 <= k <= 16, 16 - k for -4 <= k <= -1, 21 for an exponent of two
+    digits and 22 for one of three."""
+    first, again = bytes(range(6, 23)), bytes(range(23, 40))    # 23 + i for i >= 1
+    point, e, expo, sep = bytes([23]), bytes([40]), bytes(range(41, 45)), bytes([45])
+    rows = []
+    for case in range(23):
+        for nd in range(1, 18):
+            if case <= 16:                      # ddd.ddd, at least k + 1 digits
+                s = first[:case + 1] + (point + again[case + 1:nd] if nd > case + 1 else b"")
+            elif case <= 20:                    # "0." and case - 17 zeros, then ddd
+                s = bytes(range(1, case - 14)) + first[:nd]
+            else:                               # d.ddde-XX
+                s = first[:1] + (point + again[1:nd] if nd > 1 else b"")
+                s += e + (expo[:1] + expo[2:] if case == 21 else expo)
+            rows.append(s.ljust(24, sep))       # every code keeps the separator
+    keep = np.zeros((2, len(rows), 46), bool)
+    keep[:, np.arange(len(rows))[:, None], np.frombuffer(b"".join(rows), np.uint8).reshape(-1, 24)] = True
+    keep[1, :, 0] = True                        # "-"
+    return keep.reshape(-1, 46)
+
+
+_POW10 = _pow10_table()
+_KEEP = _keep_table()
+# 4-digit ASCII of 0..9999, one uint32 each, so that a uint8 view reads digits
+_ascii = np.arange(48, 58, dtype=np.uint8)
+_ascii = np.stack(np.meshgrid(*[_ascii] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+_DIGITS4 = _ascii.view(np.uint32).ravel()
+_ZEROS4 = sum(np.arange(10000) % 10 ** i == 0 for i in range(1, 5))   # trailing zeros
+_k = np.arange(_K0, -_K0)
+_CASE = np.where((_k >= 0) & (_k <= 16), _k,
+                 np.where((_k < 0) & (_k >= -4), 16 - _k, 21 + (np.abs(_k) >= 100)))
+_EXPONENT = np.column_stack([np.where(_k < 0, 45, 43).astype(np.uint8),   # "-", "+"
+                             _ascii[np.abs(_k), 1:]]).view(np.uint32).ravel()
+del _ascii, _k
+
+
+def _scaled(a, k):
+    """|x| * 10**(16 - k) as p + t, with p = fl(a * hi) and |t| < 20."""
+    hi, lo, hh, hl = _POW10[:, 16 - k]
+    p = a * hi
+    ah, al = _split(a)
+    return p, ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+
+
+def _format_values(vals: np.ndarray, seps: np.ndarray) -> bytes:
+    """The bytes of ``"%.17g" % x`` for each ``x`` in ``vals``, each followed
+    by its byte of ``seps``."""
+    a = np.abs(vals)
+    zero = a == 0
+    fast = (a >= 1e-280) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p, t = _scaled(a, k)
+    low = np.flatnonzero((p < 1e16) | ((p == 1e16) & (t < 0)))   # log10 rounded up
+    k[low] -= 1
+    p[low], t[low] = _scaled(a[low], k[low])
+    r = np.rint(t)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    fast &= (np.abs(t - r) < 0.5 - 1e-9) & (D >= 10 ** 16) & (D <= 10 ** 17)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    k += carry
+    D[zero] = 0
+    k[zero] = 0
+
+    n = len(vals)
+    upper, lower = np.divmod(D, 10 ** 8)
+    groups = np.empty((n, 5), np.intp)                  # D as 0..9 and four 4-digit groups
+    groups[:, 0], upper = np.divmod(upper, 10 ** 8)
+    groups[:, 1], groups[:, 2] = np.divmod(upper, 10 ** 4)
+    groups[:, 3], groups[:, 4] = np.divmod(lower, 10 ** 4)
+    zeros = _ZEROS4[groups[:, 4]]
+    idx = np.flatnonzero(groups[:, 4] == 0)
+    for col in (3, 2, 1):
+        zeros[idx] += _ZEROS4[groups[idx, col]]
+        idx = idx[groups[idx, col] == 0]
+
+    digits = np.take(_DIGITS4, groups).view(np.uint8)
+    row = np.empty((n, 46), np.uint8)
+    row[:, 0] = ord("-")
+    row[:, 1] = ord("0")
+    row[:, 2] = row[:, 23] = ord(".")
+    row[:, 3:23] = digits
+    row[:, 24:40] = digits[:, 4:]
+    row[:, 40] = ord("e")
+    row[:, 41:45] = np.take(_EXPONENT, k - _K0).view(np.uint8).reshape(n, 4)
+    row[:, 45] = seps
+    keep = np.take(_KEEP, 391 * np.signbit(vals) + 17 * _CASE[k - _K0] + 16 - zeros, axis=0)
+
+    slow = np.flatnonzero(~(fast | zero))
+    if len(slow):
+        text = np.array([b"%.17g" % x for x in vals[slow].tolist()], dtype="S24")
+        text = text.view(np.uint8).reshape(len(slow), 24)
+        row[slow, :24] = text
+        keep[slow, :45] = False
+        keep[slow, :24] = text != 0
+    return row[keep].tobytes()
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Values as ``%.17g`` (round-trips every double), one ``%`` per block
-    of rows so that memory stays flat on large grids."""
+    """Values as ``%.17g`` (round-trips every double), formatted by a numpy
+    kernel one block of rows at a time so that memory stays flat on large
+    grids.  The bytes are exactly those of Python's ``"%.17g" % x``; a value
+    whose digits the kernel cannot decide goes through ``%`` itself."""
     rows = np.column_stack(columns)
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
+    seps = np.full((CSV_BLOCK_ROWS, rows.shape[1]), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[start:start + CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_values(block.ravel(), seps[:len(block)].ravel()))
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -240,9 +377,15 @@ def emit_manifest(out: Path, cfg: RunConfig, outputs: list[str],
 
 
 def _build_model(cfg: RunConfig):
-    if isinstance(cfg.model, dict):
-        return model_from_config(cfg.model)
-    return preset_model(str(cfg.model), **cfg.model_options)
+    """The model the config names.  A spec it cannot be built from (a missing
+    key, an unknown kind, preset or option) is a config error."""
+    try:
+        if isinstance(cfg.model, dict):
+            return model_from_config(cfg.model)
+        return preset_model(str(cfg.model), **cfg.model_options)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot build the model {cfg.model!r} with options "
+                          f"{cfg.model_options!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def _scalar_config(cfg: RunConfig, model: ScalarCouplingModel, eps: float) -> ScalarSolveConfig:

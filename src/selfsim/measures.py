@@ -38,7 +38,8 @@ CROSSCHECK_TOL = 1e-6
 
 
 class ClassLViolation(ValueError):
-    """Speed field fails the class-L sign pattern for its band."""
+    """Speed field fails the class-L sign pattern for its band, or the band
+    holds no point of the grid."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,10 @@ def build_phi_star(xi: np.ndarray, mu: np.ndarray, eps: float,
     for i in range(N):
         left = xi < lam_low[i]
         right = xi > lam_high[i]
+        if np.all(left | right):
+            raise ClassLViolation(
+                f"family {i + 1}: band [{lam_low[i]:g}, {lam_high[i]:g}] holds no point "
+                f"of the grid on [{xi[0]:g}, {xi[-1]:g}]; M must be large enough to cover it")
         if np.any(mu[left, i] <= 0) or np.any(mu[right, i] >= 0):
             raise ClassLViolation(
                 f"family {i + 1}: speed field violates the class-L sign pattern "

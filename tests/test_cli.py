@@ -115,6 +115,24 @@ def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"model": {"kind": "preset"}},
+     "cannot build the model {'kind': 'preset'} with options {}: KeyError: 'name'"),
+    ({"model_options": {"bogus": 1}},
+     "cannot build the model 'burgers-identical' with options {'bogus': 1}: TypeError: "),
+], ids=["preset-without-name", "unknown-option"])
+def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, data, message):
+    # well-typed, so it passes parse_config; the models module cannot build it
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, "eps": 0.1, **data}))
+    argv = ["solve-scalar", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(parse_config(argv))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg_file]
+
+
 def test_negative_eps_rejected():
     for args in (["solve-scalar", "--eps", "-0.1"], ["solve-scalar", "--eps", "nan"],
                  ["solve-scalar", "--eps", "inf"], ["solve-scalar", "--M", "nan"],
@@ -285,6 +303,17 @@ def test_verify_lemmas_one_rung_ladder_is_an_error(tmp_path, capsys):
                      "--eps-ladder", "0.1", "--strict")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert _manifest(out)["complete"] is False
+
+
+def test_verify_lemmas_band_off_the_grid_is_a_typed_error(tmp_path, capsys):
+    # band 1 of the fixture, [-1.3, -1.1], lies outside [-M, M] = [-0.5, 0.5]
+    code, out = _run(tmp_path, "verify-lemmas", "--model", "two-band-fixture",
+                     "--eps-ladder", "0.1,0.05", "--M", "0.5")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ClassLViolation: family 1: band [-1.3, -1.1] holds no point of the grid "
+        "on [-0.5, 0.5]; M must be large enough to cover it\n")
     assert _manifest(out)["complete"] is False
 
 
@@ -466,13 +495,72 @@ def _old_csv(header, columns):
     return "".join(line + "\n" for line in lines).encode()
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * CSV_BLOCK_ROWS + 3])
-@pytest.mark.parametrize("n_cols", [1, 4])
-def test_write_csv_matches_per_element_formatting(tmp_path, n_rows, n_cols):
+def _wide(rng, size):
+    """Normal draws over 600 decades, led by inf, nan, -0.0 and the like."""
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1]
-    vals = np.random.default_rng(n_rows + n_cols).standard_normal(n_rows * n_cols)
+    vals = rng.standard_normal(size)
     vals *= 10.0 ** np.random.default_rng(1).integers(-300, 300, vals.size)
     vals[:len(special)] = special[:vals.size]
+    return vals
+
+
+def _zeros(rng, size):
+    vals = rng.standard_normal(size)
+    vals[rng.random(size) < 0.6] = 0.0
+    vals[rng.random(size) < 0.3] = -0.0
+    return vals
+
+
+def _ties(rng, size):
+    """Doubles of 18 significant digits ending in 5, halfway between two
+    17-digit decimals; those led by odd * 2**-24 and odd * 2**-25 are scaled
+    by a power of ten that is not a double."""
+    j = rng.integers(0, 10 ** 12, size)
+    vals = np.select([j % 3 == 0, j % 3 == 1],
+                     [1e15 + (j % 10 ** 14) + 0.25, 1e14 + (j % 10 ** 13) + 0.125],
+                     (2 * (j % 4700) + 1049) * 2.0 ** -20)
+    inexact = np.r_[np.arange(3, 16, 2) * 2.0 ** -24, 2.0 ** -25, 3 * 2.0 ** -25]
+    vals[:len(inexact)] = inexact[:size]
+    return np.where(rng.random(size) < 0.5, -vals, vals)
+
+
+def _powers_of_ten(rng, size):
+    """10**j for every double j, and the doubles either side of it."""
+    p = 10.0 ** np.arange(-323, 309)
+    vals = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+    vals = np.concatenate([vals, -vals])
+    return np.resize(rng.permutation(vals), size)
+
+
+def _subnormals(rng, size):
+    vals = rng.integers(1, 2 ** 52, size).view(np.float64)
+    vals[:4] = [5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
+                2.2250738585072014e-308 * (1 + 2 ** -52)][:size]
+    return np.where(rng.random(size) < 0.5, -vals, vals)
+
+
+def _bit_patterns(rng, size):
+    """Random 64-bit patterns: every exponent, NaN payloads and infinities."""
+    return rng.integers(0, 2 ** 64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+
+
+def _near_max(rng, size):
+    """Values near +-1e308, where Dekker's split of x overflows."""
+    vals = np.concatenate([rng.uniform(1.0, 1.7976931348623157, size // 2) * 1e308,
+                           10.0 ** rng.uniform(290, 308, size - size // 2)])
+    vals[:2] = [1.7976931348623157e308, np.nextafter(np.inf, 0) / 2][:size]
+    return np.where(rng.random(size) < 0.5, -vals, vals)
+
+
+@pytest.mark.parametrize("n_rows, values", [
+    (0, _wide), (1, _wide), (7, _wide), (8 * CSV_BLOCK_ROWS + 3, _wide),
+    (3000, _zeros), (3000, _ties), (2000, _powers_of_ten), (3000, _subnormals),
+    (100_000, _bit_patterns), (3000, _near_max),
+], ids=["0", "1", "7", str(8 * CSV_BLOCK_ROWS + 3), "zeros", "ties", "powers-of-ten",
+        "subnormals", "bit-patterns", "near-max"])
+@pytest.mark.parametrize("n_cols", [1, 4])
+def test_write_csv_matches_per_element_formatting(tmp_path, n_rows, values, n_cols):
+    vals = values(np.random.default_rng(n_rows + n_cols), n_rows * n_cols)
     columns = list(vals.reshape(n_rows, n_cols).T)
     header = [f"c{i}" for i in range(n_cols)]
     path = tmp_path / "out.csv"
