@@ -18,7 +18,7 @@ from .models import (
     preset_model,
 )
 from .scalar import ScalarSolveConfig, ScalarSolution, solve_scalar
-from .spectral import SpectralData, solve_generalized_eigen, estimate_eta_nu
+from .spectral import SpectralData, estimate_eta_nu
 from .measures import WaveMeasureSet, build_phi_star
 from .system import SystemSolveConfig, SystemSolveState, solve_system
 from . import diagnostics
@@ -36,7 +36,6 @@ __all__ = [
     "ScalarSolution",
     "solve_scalar",
     "SpectralData",
-    "solve_generalized_eigen",
     "estimate_eta_nu",
     "WaveMeasureSet",
     "build_phi_star",

@@ -42,12 +42,6 @@ SCHEMA_VERSION = 2
 COMMANDS = ("solve-scalar", "solve-system", "spectral-sweep",
             "verify-lemmas", "continuation", "trace-report")
 
-CONFIG_KEYS = {
-    "model", "model_options", "eps", "eps_ladder", "p", "M", "grid",
-    "uL", "uR", "u", "out", "strict",
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -102,6 +96,11 @@ class RunConfig:
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)
+
+
+# the keys a config file may set: every field but the subcommand and the
+# record of flag overrides
+CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "overrides"}
 
 
 def _is_number(val, kind=(int, float)) -> bool:
@@ -538,8 +537,13 @@ def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     fixture = str(cfg.model) == "two-band-fixture"
     if fixture:
         M = cfg.M if cfg.M is not None else 2.0
-        lams = cfg.model_options.get("speeds", [-1.2, 0.4])
-        halfwidth = cfg.model_options.get("band_halfwidth", 0.1)
+        options = {"speeds": [-1.2, 0.4], "band_halfwidth": 0.1}
+        unknown = set(cfg.model_options) - set(options)
+        if unknown:
+            raise ConfigError(f"cannot build the model 'two-band-fixture' with options "
+                              f"{cfg.model_options!r}: unknown options {sorted(unknown)}")
+        options.update(cfg.model_options)
+        lams, halfwidth = options["speeds"], options["band_halfwidth"]
     else:
         model = _build_model(cfg)
         if not isinstance(model, SystemCouplingModel):

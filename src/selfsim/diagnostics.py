@@ -76,12 +76,6 @@ def bump_family(xi: np.ndarray, eps: float, p: float,
 # weak residuals
 
 
-def _half_model(model: ScalarCouplingModel, side: str) -> tuple[Callable, Callable]:
-    if side == "minus":
-        return model.gamma_minus, model.f_minus
-    return model.gamma_plus, model.f_plus
-
-
 def _weak_form(xi: np.ndarray, density: np.ndarray, flux: np.ndarray,
                phi: np.ndarray, dphi: np.ndarray) -> float:
     """int density (phi + xi phi') - flux phi' dxi  (all derivatives moved
@@ -89,33 +83,9 @@ def _weak_form(xi: np.ndarray, density: np.ndarray, flux: np.ndarray,
     return float(np.trapezoid(density * (phi + xi * dphi) - flux * dphi, xi))
 
 
-def weak_conservation_residual(solution: ScalarSolution, model: ScalarCouplingModel,
-                               side: str, test_set) -> float:
-    """Largest weak conservation residual over the (phi, phi') pairs of
-    ``test_set``."""
-    xi = solution.u.xi
-    gamma, f = _half_model(model, side)
-    w = gamma(solution.u.values)
-    fw = f(w)
-    return max(abs(_weak_form(xi, w, fw, phi, dphi)) for phi, dphi in test_set)
-
-
 def kruzhkov_entropies(u_left: float, u_right: float) -> np.ndarray:
     lo, hi = min(u_left, u_right), max(u_left, u_right)
     return np.linspace(lo, hi, KRUZHKOV_COUNT + 2)[1:-1]
-
-
-def weak_entropy_residual(solution: ScalarSolution, model: ScalarCouplingModel,
-                          side: str, k: float, test_set) -> float:
-    """Signed Kruzhkov residual for eta(w) = |w - k| over ``test_set``;
-    admissible limits give values <= WEAK_TOLERANCE (one-sided)."""
-    xi = solution.u.xi
-    gamma, f = _half_model(model, side)
-    w = gamma(solution.u.values)
-    wk = gamma(np.asarray(k, dtype=float))
-    eta = np.abs(w - wk)
-    q = np.sign(w - wk) * (f(w) - f(wk))
-    return max(_weak_form(xi, eta, q, phi, dphi) for phi, dphi in test_set)
 
 
 @dataclass(frozen=True)
@@ -130,14 +100,27 @@ class WeakResidualReport:
 
 def weak_residual_report(solution: ScalarSolution,
                          model: ScalarCouplingModel) -> WeakResidualReport:
+    """Per side, the largest weak conservation residual over the bumps of
+    ``bump_family``, and for each Kruzhkov entropy eta(w) = |w - k| the
+    largest signed entropy residual; admissible limits give entropy values
+    <= WEAK_TOLERANCE (one-sided)."""
+    xi = solution.u.xi
     ks = kruzhkov_entropies(solution.u_left, solution.u_right)
     conservation, entropy = {}, []
     for side in ("minus", "plus"):
-        test_set = bump_family(solution.u.xi, solution.eps, solution.p, side)
-        conservation[side] = weak_conservation_residual(solution, model, side, test_set)
+        test_set = bump_family(xi, solution.eps, solution.p, side)
+        gamma, f = ((model.gamma_minus, model.f_minus) if side == "minus"
+                    else (model.gamma_plus, model.f_plus))
+        w = gamma(solution.u.values)
+        fw = f(w)
+        conservation[side] = max(abs(_weak_form(xi, w, fw, phi, dphi))
+                                 for phi, dphi in test_set)
         for k in ks:
+            wk = gamma(np.asarray(k, dtype=float))
+            eta = np.abs(w - wk)
+            q = np.sign(w - wk) * (fw - f(wk))
             entropy.append((side, float(k),
-                            weak_entropy_residual(solution, model, side, k, test_set)))
+                            max(_weak_form(xi, eta, q, phi, dphi) for phi, dphi in test_set)))
     passed = (all(v <= WEAK_TOLERANCE for v in conservation.values())
               and all(v <= WEAK_TOLERANCE for _, _, v in entropy))
     return WeakResidualReport(

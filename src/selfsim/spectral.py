@@ -9,12 +9,11 @@ d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 ``eig_decomposition`` is the one eigensolve: stacked matrices in, sorted
 eigenvalues, unit eigenvectors with a sign rule and a realness mask out.
 ``pencil_eigen`` builds the pencil's eigendata on it, at stacked points, from
-pencil matrices the caller formed once with ``SystemCouplingModel.pencil``;
-``solve_generalized_eigen`` is its single-point form, which adds the pencil
-residual.  ``eigenvector_derivative`` differentiates r_hat by first-order
-perturbation of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve,
-along the derivatives of ``matrix_derivatives``, which inverts A0 only at
-the base points (product rule).
+pencil matrices the caller formed once with ``SystemCouplingModel.pencil``.
+``eigenvector_derivative`` differentiates r_hat by first-order perturbation
+of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve, along the
+derivatives of ``matrix_derivatives``, which inverts A0 only at the base
+points (product rule).
 """
 
 from __future__ import annotations
@@ -45,16 +44,13 @@ class HyperbolicityError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendata at one point, or at n stacked points (leading axis n)."""
+    """Eigendata at n stacked points (leading axis n)."""
 
     mu: np.ndarray            # (..., N)
     r_hat: np.ndarray         # (..., N, N), row i = right eigenvector of family i
     l_hat: np.ndarray         # (..., N, N), row i = left covector of family i
     lambda_hat: np.ndarray    # (..., N)
     d: np.ndarray             # (..., N)
-    # 2-norm of the pencil residual, computed only by
-    # ``solve_generalized_eigen``; None from ``pencil_eigen``
-    residual: float | None
 
 
 def _fix_signs(R: np.ndarray) -> np.ndarray:
@@ -83,7 +79,7 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     """Eigendata of the pencil (-xi I + A, B), given its matrices A, B
     (n, N, N) at the stacked points (U[k], v[k], xi[k]), from
     ``eig_decomposition`` of B^-1 (-xi I + A); the points only name the first
-    non-hyperbolic one in a HyperbolicityError.  ``residual`` is None.
+    non-hyperbolic one in a HyperbolicityError.
 
     Eigenvector signs are fixed per point (largest component positive) and
     then continued along the points: each r_hat_i is flipped so that
@@ -111,8 +107,7 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     dots = np.einsum("nij,nij->ni", R[:-1], R[1:])
     flips[1:] = np.cumprod(np.where(dots < 0, -1.0, 1.0), axis=0)
     return SpectralData(mu=mu, r_hat=R * flips[:, :, None],
-                        l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d,
-                        residual=None)
+                        l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d)
 
 
 def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
@@ -158,19 +153,6 @@ def matrix_derivatives(model: SystemCouplingModel, U, v, steps, pencil) -> tuple
     dA0 = central(model.A0)
     A, B, A0_inv = pencil
     return (central(model.A1) - A @ dA0) @ A0_inv, (central(model.B0) - B @ dA0) @ A0_inv
-
-
-def solve_generalized_eigen(model: SystemCouplingModel, u, v: float, xi: float) -> SpectralData:
-    """Eigendata at one point, by ``pencil_eigen``, with the pencil residual
-    |(-xi I + A) R - B R diag(mu)|_2, R the matrix of columns r_hat_i."""
-    U = np.asarray(u, dtype=float).reshape(1, model.N)
-    v, xi = np.array([v], dtype=float), np.array([xi], dtype=float)
-    A, B, _ = model.pencil(U, v)
-    data = pencil_eigen(A, B, U, v, xi)
-    R = data.r_hat[0].T
-    residual = np.linalg.norm((-xi * np.eye(model.N) + A[0]) @ R - (B[0] @ R) * data.mu[0], 2)
-    point = {name: a[0] for name, a in vars(data).items() if name != "residual"}
-    return SpectralData(**point, residual=float(residual))
 
 
 def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:

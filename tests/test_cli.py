@@ -48,7 +48,8 @@ def test_flag_overrides_config_file(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    for data in ({"epsilon": 0.1}, {"seed": 0}, {"fix_tol": 1e-10}):
+    for data in ({"epsilon": 0.1}, {"seed": 0}, {"fix_tol": 1e-10},
+                 {"command": "x"}, {"overrides": {}}):
         cfg_file.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(["solve-scalar", "--config", str(cfg_file)])
@@ -115,17 +116,23 @@ def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
-@pytest.mark.parametrize("data, message", [
-    ({"model": {"kind": "preset"}},
+@pytest.mark.parametrize("command, data, message", [
+    ("solve-scalar", {"model": {"kind": "preset"}},
      "cannot build the model {'kind': 'preset'} with options {}: KeyError: 'name'"),
-    ({"model_options": {"bogus": 1}},
+    ("solve-scalar", {"model_options": {"bogus": 1}},
      "cannot build the model 'burgers-identical' with options {'bogus': 1}: TypeError: "),
-], ids=["preset-without-name", "unknown-option"])
-def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, data, message):
-    # well-typed, so it passes parse_config; the models module cannot build it
+    # "speed" for "speeds" must not run on the default speeds
+    ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"speed": [-1.2, 0.0]},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'speed': [-1.2, 0.0]}: "
+     "unknown options ['speed']"),
+], ids=["preset-without-name", "unknown-option", "fixture-unknown-option"])
+def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, command, data,
+                                                           message):
+    # well-typed, so it passes parse_config; the model cannot be built from it
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, "eps": 0.1, **data}))
-    argv = ["solve-scalar", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+    argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
     with pytest.raises(ConfigError, match=re.escape(message)):
         run(parse_config(argv))
     assert main(argv) == 1

@@ -11,8 +11,7 @@ from selfsim.grid import uniform_grid
 from selfsim.models import SystemCouplingModel, validate_hypotheses
 from selfsim.spectral import (HyperbolicityError, eig_decomposition,
                               eigenvector_derivative, estimate_eta_nu,
-                              matrix_derivatives, pencil_eigen,
-                              solve_generalized_eigen)
+                              matrix_derivatives, pencil_eigen)
 from selfsim.system import assemble_coefficients
 
 
@@ -20,6 +19,16 @@ def _eigen(model, U, v, xi):
     """The model's pencil at the stacked points, through the kernel."""
     A, B, _ = model.pencil(U, v)
     return pencil_eigen(A, B, U, v, xi)
+
+
+def _eigen_with_residual(model, U, v, xi):
+    """``_eigen`` and, per point, the pencil residual
+    |(-xi I + A) R - B R diag(mu)|_2, R the matrix of columns r_hat_i."""
+    A, B, _ = model.pencil(U, v)
+    data = pencil_eigen(A, B, U, v, xi)
+    R = np.swapaxes(data.r_hat, 1, 2)
+    residual = (-xi[:, None, None] * np.eye(model.N) + A) @ R - (B @ R) * data.mu[:, None, :]
+    return data, np.linalg.norm(residual, 2, axis=(1, 2))
 
 
 def test_eig_decomposition_eigenpairs():
@@ -35,35 +44,34 @@ def test_eig_decomposition_eigenpairs():
 def test_pencil_identities_p_system(p_system):
     u = np.array([1.1, 0.05])
     v, xi = 0.3, 0.2
-    data = solve_generalized_eigen(p_system, u, v, xi)
+    data, residual = _eigen_with_residual(p_system, u[None], np.array([v]), np.array([xi]))
+    mu, r_hat, l_hat, lambda_hat, d = (a[0] for a in (data.mu, data.r_hat, data.l_hat,
+                                                      data.lambda_hat, data.d))
     A, B, _ = p_system.pencil(u, v)
     # defining relation (-xi I + A) r = mu B r
     for i in range(2):
-        r = data.r_hat[i]
+        r = r_hat[i]
         np.testing.assert_allclose((-xi * np.eye(2) + A) @ r,
-                                   data.mu[i] * (B @ r), atol=1e-12)
+                                   mu[i] * (B @ r), atol=1e-12)
     # biorthogonality l_i . (B r_j) = delta_ij
-    np.testing.assert_allclose(data.l_hat @ (B @ data.r_hat.T), np.eye(2),
+    np.testing.assert_allclose(l_hat @ (B @ r_hat.T), np.eye(2),
                                atol=1e-13)
     # with B = I: mu = -xi + lambda_hat exactly, d = 1
-    np.testing.assert_allclose(data.mu, -xi + data.lambda_hat, atol=1e-13)
-    np.testing.assert_allclose(data.d, 1.0, atol=1e-13)
-    assert data.residual <= 1e-12
-    assert np.all(np.diff(data.lambda_hat) > 0)
+    np.testing.assert_allclose(mu, -xi + lambda_hat, atol=1e-13)
+    np.testing.assert_allclose(d, 1.0, atol=1e-13)
+    assert residual[0] <= 1e-12
+    assert np.all(np.diff(lambda_hat) > 0)
 
 
 def test_eigen_sample_identity_over_ball(p_system):
     # 100-point (state, color, xi) sample of the exact identity
     rng = np.random.default_rng(7)
     pts = p_system.ball_samples(100)
-    worst_mu = 0.0
-    worst_res = 0.0
-    for u in pts:
-        v = rng.uniform(-1.0, 1.0)
-        xi = rng.uniform(-p_system.M, p_system.M)
-        data = solve_generalized_eigen(p_system, u, v, xi)
-        worst_mu = max(worst_mu, np.abs(data.mu - (-xi + data.lambda_hat)).max())
-        worst_res = max(worst_res, data.residual)
+    v, xi = np.array([(rng.uniform(-1.0, 1.0), rng.uniform(-p_system.M, p_system.M))
+                      for _ in pts]).T
+    data, residual = _eigen_with_residual(p_system, pts, v, xi)
+    worst_mu = np.abs(data.mu - (-xi[:, None] + data.lambda_hat)).max()
+    worst_res = residual.max()
     assert worst_mu <= 1e-10
     assert worst_res <= 1e-9
 
@@ -230,6 +238,19 @@ def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
         rhs = (-np.einsum("mnab,nb->mna", dA - mu * dB, r)
                + dmu[..., None] * np.einsum("nab,nb->na", B, r))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_complex_speeds_raise_typed_error_at_their_point():
+    # B = I and A the rotation at the second point: -xi I + A has the
+    # eigenvalues -xi +- i there
+    A = np.stack([np.diag([1.0, 2.0]), np.array([[0.0, -1.0], [1.0, 0.0]])])
+    U = np.array([[0.01, 0.0], [0.0, 0.02]])
+    v, xi = np.array([0.3, -0.2]), np.array([0.5, 0.1])
+    with pytest.raises(HyperbolicityError, match="complex eigenvalues") as err:
+        pencil_eigen(A, np.broadcast_to(np.eye(2), A.shape), U, v, xi)
+    u, v0, xi0 = err.value.point
+    np.testing.assert_array_equal(u, U[1])
+    assert (v0, xi0) == (-0.2, 0.1)
 
 
 def test_coincident_speeds_raise_typed_error():
