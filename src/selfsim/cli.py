@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,9 +29,9 @@ from .color import ColorProfile
 from .diagnostics import (check_trace_windows, interface_trace_report,
                           ladder_cauchy)
 from .grid import default_grid_size, uniform_grid
-from .measures import build_phi_star, constant_speed_fields, verify_bounds
-from .models import (ModelConstructionError, ScalarCouplingModel,
-                     SystemCouplingModel, model_from_config, preset_model)
+from .measures import build_phi_star, verify_bounds
+from .models import (ScalarCouplingModel, SystemCouplingModel, model_from_config,
+                     preset_model)
 from .scalar import ScalarSolveConfig, solve_scalar, trace_window_check
 from .spectral import pencil_eigen
 from .system import SystemSolveConfig, solve_system
@@ -172,8 +171,6 @@ def parse_config(argv) -> RunConfig:
     if cfg.strict is None:
         cfg.strict = False
     cfg.overrides = overrides
-    if cfg.out == "out":
-        cfg.out = os.environ.get("SELFSIM_OUT_ROOT", "out")
     cfg.validate()
     return cfg
 
@@ -375,16 +372,20 @@ def emit_manifest(out: Path, cfg: RunConfig, outputs: list[str],
 # model construction
 
 
-def _build_model(cfg: RunConfig):
-    """The model the config names.  A spec it cannot be built from (a missing
-    key, an unknown kind, preset or option) is a config error."""
+def _build_model(cfg: RunConfig, kind: str | None):
+    """The model the config names, of the ``kind`` ("scalar", "system", or
+    None for either) the command requires.  A spec it cannot be built from
+    (a missing key, an unknown kind, preset or option, an option value the
+    builder rejects) or a model of another kind is a config error."""
     try:
-        if isinstance(cfg.model, dict):
-            return model_from_config(cfg.model)
-        return preset_model(str(cfg.model), **cfg.model_options)
-    except (KeyError, TypeError) as exc:
+        model = (model_from_config(cfg.model) if isinstance(cfg.model, dict)
+                 else preset_model(str(cfg.model), **cfg.model_options))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot build the model {cfg.model!r} with options "
                           f"{cfg.model_options!r}: {type(exc).__name__}: {exc}") from exc
+    if kind not in (None, "scalar" if isinstance(model, ScalarCouplingModel) else "system"):
+        raise ConfigError(f"{cfg.command} requires a {kind} model")
+    return model
 
 
 def _scalar_config(cfg: RunConfig, model: ScalarCouplingModel, eps: float) -> ScalarSolveConfig:
@@ -475,13 +476,11 @@ def _system_rung(cfg: RunConfig, model: SystemCouplingModel, eps: float,
     return state, record, ok
 
 
-def _model_and_rung(cfg: RunConfig, kind: str | None = None):
-    """The model and the rung function of its kind; ``kind`` ("scalar" or
-    "system") is the kind the command requires, if it requires one."""
-    model = _build_model(cfg)
+def _model_and_rung(cfg: RunConfig, kind: str | None):
+    """The model, of the ``kind`` the command requires (see ``_build_model``),
+    and the rung function of its kind."""
+    model = _build_model(cfg, kind)
     scalar = isinstance(model, ScalarCouplingModel)
-    if kind is not None and kind != ("scalar" if scalar else "system"):
-        raise ConfigError(f"{cfg.command} requires a {kind} model")
     if cfg.uL is None or cfg.uR is None:
         raise ConfigError(f"{cfg.command} requires --uL and --uR")
     if scalar and not (_is_number(cfg.uL) and _is_number(cfg.uR)):
@@ -506,9 +505,7 @@ def _frozen_eigen(model: SystemCouplingModel, u0: np.ndarray, xi: np.ndarray,
 
 
 def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
-    model = _build_model(cfg)
-    if not isinstance(model, SystemCouplingModel):
-        raise ConfigError("spectral-sweep requires a system model")
+    model = _build_model(cfg, "system")
     eps = _single_eps(cfg)
     M = cfg.M if cfg.M is not None else model.M
     n = cfg.grid if cfg.grid is not None else 512
@@ -534,35 +531,17 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
 
 def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     ladder = _eps_list(cfg, need_ladder=True)
-    fixture = str(cfg.model) == "two-band-fixture"
-    if fixture:
-        M = cfg.M if cfg.M is not None else 2.0
-        options = {"speeds": [-1.2, 0.4], "band_halfwidth": 0.1}
-        unknown = set(cfg.model_options) - set(options)
-        if unknown:
-            raise ConfigError(f"cannot build the model 'two-band-fixture' with options "
-                              f"{cfg.model_options!r}: unknown options {sorted(unknown)}")
-        options.update(cfg.model_options)
-        lams, halfwidth = options["speeds"], options["band_halfwidth"]
-    else:
-        model = _build_model(cfg)
-        if not isinstance(model, SystemCouplingModel):
-            raise ConfigError("verify-lemmas requires a system model or "
-                              "the 'two-band-fixture'")
-        M = cfg.M if cfg.M is not None else model.M
+    model = _build_model(cfg, "system")
+    M = cfg.M if cfg.M is not None else model.M
 
     def grid(eps):
         return uniform_grid(M, cfg.grid if cfg.grid is not None else default_grid_size(M, eps))
 
     def measure_factory(eps):
         xi = grid(eps)
-        if fixture:
-            mu, lam_low, lam_high = constant_speed_fields(xi, lams, band_halfwidth=halfwidth)
-        else:
-            v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
-            mu = _frozen_eigen(model, model.u_ref, xi, v).mu
-            lam_low, lam_high = model.lam_low, model.lam_high
-        return build_phi_star(xi, mu, eps, lam_low, lam_high)
+        v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
+        mu = _frozen_eigen(model, model.u_ref, xi, v).mu
+        return build_phi_star(xi, mu, eps, model.lam_low, model.lam_high)
 
     def psi_factory(eps):
         return ColorProfile(eps, cfg.p, M).evaluate_psi(grid(eps))
@@ -601,7 +580,7 @@ def _ladder(cfg: RunConfig, model, rung, ladder: list[float], out: Path):
 def _cmd_continuation(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     """Each record is that rung's solve-* diagnostics; a scalar ladder adds
     its Cauchy diagnostics."""
-    model, rung = _model_and_rung(cfg)
+    model, rung = _model_and_rung(cfg, None)
     ladder = _eps_list(cfg, need_ladder=True)
     outputs, solutions, records, ok = _ladder(cfg, model, rung, ladder, out)
     report = {"eps_ladder": ladder, "records": records}

@@ -196,6 +196,13 @@ class SystemCouplingModel:
         return self.u_ref[None, :] + pts
 
 
+def _constant(matrix: np.ndarray) -> Callable:
+    """The coefficient field that is ``matrix`` at every stacked point."""
+    def field(u, v):
+        return np.broadcast_to(matrix, _leading_shape(u, v) + matrix.shape)
+    return field
+
+
 def build_p_system_model(
     p_minus: Callable,
     p_plus: Callable,
@@ -227,12 +234,7 @@ def build_p_system_model(
         out[..., 1, 0] = c
         return out
 
-    eye = np.eye(2)
-
-    def A0(u, v):
-        return np.broadcast_to(eye, _leading_shape(u, v) + (2, 2))
-
-    B0 = A0
+    A0 = B0 = _constant(np.eye(2))
 
     tau0 = 0.5 * (tau_domain[0] + tau_domain[1])
     u_ref = np.array([tau0, 0.0])
@@ -477,6 +479,23 @@ def preset_model(name: str, **kwargs):
         return build_p_system_model(lambda t: km / np.asarray(t, dtype=float),
                                     lambda t: kp / np.asarray(t, dtype=float),
                                     **defaults)
+    if key == "two-band-fixture":
+        # constant diagonal system: mu_i = lam_i - xi, eta = nu = 0 in any state ball
+        lams = np.asarray(kwargs.pop("speeds", (-1.2, 0.4)), dtype=float)
+        halfwidth = kwargs.pop("band_halfwidth", 0.1)
+        if kwargs:
+            raise TypeError(f"unknown options {sorted(kwargs)}")
+        if lams.ndim != 1 or not lams.size or not np.isfinite(lams).all():
+            raise ModelConstructionError(f"speeds must be a non-empty list of finite "
+                                         f"numbers, got {lams.tolist()}")
+        if not 0 < halfwidth < np.inf:
+            raise ModelConstructionError(f"band_halfwidth must be positive and finite, "
+                                         f"got {halfwidth!r}")
+        lams, eye = np.sort(lams), _constant(np.eye(len(lams)))
+        return SystemCouplingModel(
+            N=len(lams), A0=eye, A1=_constant(np.diag(lams)), B0=eye,
+            delta0=1.0, lam_low=lams - halfwidth, lam_high=lams + halfwidth,
+            eta=0.0, nu=0.0, M=2.0, u_ref=np.zeros(len(lams)), name="two-band-fixture")
     raise KeyError(f"unknown model preset {name!r}")
 
 

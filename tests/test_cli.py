@@ -93,7 +93,6 @@ def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
                                                                data, message):
     # no --out flag, which would override the config file's "out"
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SELFSIM_OUT_ROOT", raising=False)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, **data}))
     argv = ["solve-scalar", "--config", str(cfg_file)]
@@ -125,8 +124,36 @@ def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
     ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"speed": [-1.2, 0.0]},
                        "eps_ladder": [0.1, 0.05]},
      "cannot build the model 'two-band-fixture' with options {'speed': [-1.2, 0.0]}: "
-     "unknown options ['speed']"),
-], ids=["preset-without-name", "unknown-option", "fixture-unknown-option"])
+     "TypeError: unknown options ['speed']"),
+    ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"speeds": "ab"},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'speeds': 'ab'}: "
+     "ValueError: could not convert string to float: 'ab'"),
+    ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"speeds": 0.4},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'speeds': 0.4}: "
+     "ModelConstructionError: speeds must be a non-empty list of finite numbers, got 0.4"),
+    ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"speeds": []},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'speeds': []}: "
+     "ModelConstructionError: speeds must be a non-empty list of finite numbers, got []"),
+    ("verify-lemmas", {"model": "two-band-fixture",
+                       "model_options": {"speeds": [-1.2, float("nan")]},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'speeds': [-1.2, nan]}: "
+     "ModelConstructionError: speeds must be a non-empty list of finite numbers, "
+     "got [-1.2, nan]"),
+    # an inverted band, which no M would cover
+    ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"band_halfwidth": -0.1},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'band_halfwidth': -0.1}: "
+     "ModelConstructionError: band_halfwidth must be positive and finite, got -0.1"),
+    ("solve-system", {"model": "p-system", "model_options": {"k_minus": -1.0}},
+     "cannot build the model 'p-system' with options {'k_minus': -1.0}: "
+     "ModelConstructionError: p'_+- must be negative on tau_domain (hyperbolicity)"),
+], ids=["preset-without-name", "unknown-option", "fixture-unknown-option",
+        "fixture-string-speeds", "fixture-number-speeds", "fixture-empty-speeds",
+        "fixture-nan-speed", "fixture-negative-halfwidth", "p-system-negative-k"])
 def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, command, data,
                                                            message):
     # well-typed, so it passes parse_config; the model cannot be built from it
@@ -138,6 +165,33 @@ def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, com
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg_file]
+
+
+@pytest.mark.parametrize("command, model, data", [
+    ("solve-scalar", "p-system", ["--eps", "0.1"]),
+    ("solve-system", "burgers-identical", ["--eps", "0.1"]),
+    ("spectral-sweep", "burgers-identical", ["--eps", "0.1"]),
+    ("verify-lemmas", "burgers-identical", ["--eps-ladder", "0.1,0.05"]),
+    ("trace-report", "p-system", ["--eps-ladder", "0.1,0.05"]),
+], ids=["solve-scalar", "solve-system", "spectral-sweep", "verify-lemmas", "trace-report"])
+def test_command_on_a_model_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, command,
+                                                                model, data):
+    kind = "scalar" if model == "p-system" else "system"
+    code, _ = _run(tmp_path, command, "--model", model, *data, "--uL", "1.0", "--uR", "0.0")
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {command} requires a {kind} model\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_out_root_environment_variable_does_not_redirect_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SELFSIM_OUT_ROOT", str(tmp_path / "elsewhere"))
+    assert parse_config(["spectral-sweep", "--out", "out"]).out == "out"
+    argv = ["spectral-sweep", "--model", "p-system", "--eps", "0.1", "--grid", "128"]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "sweep.csv").exists()
+    assert _manifest(tmp_path / "out")["config"]["out"] == "out"
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_negative_eps_rejected():
@@ -302,6 +356,28 @@ def test_verify_lemmas_fixture(tmp_path):
     csv = (out / "lemma_constants.csv").read_text().splitlines()
     assert csv[0] == "check,eps,value,passed"
     assert len(csv) > 10
+
+
+def test_verify_lemmas_p_system(tmp_path):
+    # measures from the model's eigendata frozen at u_ref
+    code, out = _run(tmp_path, "verify-lemmas", "--model", "p-system",
+                     "--eps-ladder", "0.1,0.05", "--strict")
+    assert code == 0
+    report = json.loads((out / "lemma_report.json").read_text())
+    assert len(report["checks"]) == 20
+    assert all(check["passed"] for check in report["checks"])
+
+
+def test_system_commands_take_the_two_band_fixture(tmp_path):
+    code, out = _run(tmp_path / "sweep", "spectral-sweep", "--model", "two-band-fixture",
+                     "--eps", "0.1", "--grid", "128")
+    assert code == 0
+    data = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 1:3], np.array([-1.2, 0.4]) - data[:, :1])
+    np.testing.assert_array_equal(data[:, 5:7], 1.0)
+    code, out = _run(tmp_path / "solve", "solve-system", "--model", "two-band-fixture",
+                     "--eps", "0.1", "--uL", "0.0,0.0", "--uR", "0.05,-0.05", "--strict")
+    assert code == 0
 
 
 def test_verify_lemmas_one_rung_ladder_is_an_error(tmp_path, capsys):

@@ -5,11 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from selfsim.color import ColorProfile
+from selfsim.grid import default_grid_size, uniform_grid
+from selfsim.measures import constant_speed_fields
 from selfsim.models import (ModelConstructionError, ScalarCouplingModel,
                             SystemCouplingModel, affine_blend,
                             build_p_system_model, build_scalar_model,
                             model_from_config, preset_model,
                             system_from_scalar, validate_hypotheses)
+from selfsim.spectral import pencil_eigen
 
 
 def test_scalar_endpoints_pin_to_half_models(burgers):
@@ -180,6 +184,28 @@ def test_in_ball_takes_stacked_states(p_system):
     # true only if every row is in the ball
     assert not p_system.in_ball(np.vstack([inside, outside]))
     assert p_system.in_ball(np.vstack([inside, outside]), slack=0.02 * p_system.delta0)
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"speeds": [-1.2, 0.0]}, {"speeds": [0.4], "band_halfwidth": 0.05},
+    {"speeds": [1.0, -1.0, 0.0]},
+], ids=["default", "resonant", "one-family", "three-unsorted"])
+def test_two_band_fixture_preset_has_the_constant_speed_fields(options):
+    # A0 = B0 = I and A1 = diag(sorted speeds): eigendata frozen at any state
+    # give mu_i = lam_i - xi, the closed-form fields, bit for bit
+    model = preset_model("two-band-fixture", **options)
+    assert validate_hypotheses(model)["passed"]
+    speeds = options.get("speeds", (-1.2, 0.4))
+    for eps in (0.1, 0.05, 0.025, 0.0125):
+        xi = uniform_grid(model.M, default_grid_size(model.M, eps))
+        U = np.tile(model.u_ref, (len(xi), 1))
+        v = ColorProfile(eps, 1.0, model.M).evaluate_v(xi)
+        A, B, _ = model.pencil(U, v)
+        mu, lam_low, lam_high = constant_speed_fields(
+            xi, speeds, band_halfwidth=options.get("band_halfwidth", 0.1))
+        assert np.array_equal(pencil_eigen(A, B, U, v, xi).mu, mu)
+        assert np.array_equal(model.lam_low, lam_low)
+        assert np.array_equal(model.lam_high, lam_high)
 
 
 def test_preset_unknown_name():

@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import selfsim.system
 from selfsim.color import ColorProfile
-from selfsim.models import build_scalar_model, system_from_scalar
+from selfsim.models import build_scalar_model, preset_model, system_from_scalar
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
@@ -556,6 +557,23 @@ def test_n1_system_matches_scalar_solver(burgers):
                             np.array([uL]), np.array([uR]))
         d = l1_distance(scal.u, GridFunction(syst.u.xi, syst.u.values[:, 0]))
         assert d <= 10.0 * (1e-10 + syst.boundary_residual + 1e-8)
+
+
+def test_two_band_fixture_solve_is_the_truncated_gaussian_cdf():
+    # A0 = B0 = I and A1 = diag(lam): each component solves
+    # (lam_i - xi) u_i' = eps u_i'' alone, so u = uL + jump_i CDF_i, with
+    # CDF_i the CDF of the Gaussian phi*_i truncated to [-M, M] (N = 2)
+    model = preset_model("two-band-fixture")
+    lam = np.array([-1.2, 0.4])
+    uL = model.u_ref
+    jump = np.array([0.6, -0.5]) * admissible_jump_radius(model, model.delta0 / 4.0)
+    for eps in (0.1, 0.0125):
+        state = solve_system(model, SystemSolveConfig(eps=eps), uL, uL + jump)
+        scale = np.sqrt(2.0 * eps)
+        lo, hi = erf((-model.M - lam) / scale), erf((model.M - lam) / scale)
+        cdf = (erf((state.u.xi[:, None] - lam) / scale) - lo) / (hi - lo)
+        error = np.abs(state.u.values - (uL + jump * cdf)).max()
+        assert error <= 1e-5 * np.linalg.norm(jump), (eps, error)
 
 
 @pytest.mark.parametrize("variant", [lambda m: m, _state_dependent_viscosity,
