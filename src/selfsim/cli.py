@@ -88,6 +88,10 @@ class RunConfig:
                 ("--strict", self.strict, bool, "true or false")):
             if not isinstance(val, kind):
                 raise ConfigError(f"{name} must be {what}, got {val!r}")
+        if isinstance(self.model, dict) and self.model_options:
+            raise ConfigError(f"model_options {self.model_options!r} go with a preset name; "
+                              f"the model object {self.model!r} takes a preset's options "
+                              f"under \"options\"")
         if ladder is not None:
             self.eps_ladder = [float(x) for x in ladder]
             if any(b >= a for a, b in zip(self.eps_ladder, self.eps_ladder[1:])):

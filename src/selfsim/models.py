@@ -152,6 +152,24 @@ def _leading_shape(u, v) -> tuple:
     return np.broadcast_shapes(np.shape(u)[:-1], np.shape(v))
 
 
+def _inv(A) -> np.ndarray:
+    """Inverses of the stacked matrices A (..., N, N): the adjugate over the
+    determinant for N <= 2, where LAPACK's per-matrix overhead would dominate,
+    and ``np.linalg.inv`` above.  A singular matrix raises LinAlgError, as in
+    ``np.linalg.inv``."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] > 2:
+        return np.linalg.inv(A)
+    if A.shape[-1] == 1:
+        det, adj = A[..., 0, 0], np.ones_like(A)
+    else:
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        det, adj = a * d - b * c, np.stack([d, -b, -c, a], axis=-1).reshape(A.shape)
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det[..., None, None]
+
+
 @dataclass(frozen=True)
 class SystemCouplingModel:
     """Small-system coupling model.
@@ -179,7 +197,7 @@ class SystemCouplingModel:
     def pencil(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, B, A0^-1) at the stacked points, with A = A1 A0^-1 and
         B = B0 A0^-1 sharing one evaluation and one inversion of A0."""
-        A0_inv = np.linalg.inv(np.asarray(self.A0(u, v), dtype=float))
+        A0_inv = _inv(self.A0(u, v))
         return (np.asarray(self.A1(u, v)) @ A0_inv,
                 np.asarray(self.B0(u, v)) @ A0_inv, A0_inv)
 
@@ -492,9 +510,13 @@ def preset_model(name: str, **kwargs):
             raise ModelConstructionError(f"band_halfwidth must be positive and finite, "
                                          f"got {halfwidth!r}")
         lams, eye = np.sort(lams), _constant(np.eye(len(lams)))
+        low, high = lams - halfwidth, lams + halfwidth
+        if np.any(low[1:] <= high[:-1]):
+            raise ModelConstructionError(f"speed bands overlap: the speeds {lams.tolist()} "
+                                         f"are not more than 2 band_halfwidth apart")
         return SystemCouplingModel(
             N=len(lams), A0=eye, A1=_constant(np.diag(lams)), B0=eye,
-            delta0=1.0, lam_low=lams - halfwidth, lam_high=lams + halfwidth,
+            delta0=1.0, lam_low=low, lam_high=high,
             eta=0.0, nu=0.0, M=2.0, u_ref=np.zeros(len(lams)), name="two-band-fixture")
     raise KeyError(f"unknown model preset {name!r}")
 

@@ -8,6 +8,7 @@ d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 
 ``eig_decomposition`` is the one eigensolve: stacked matrices in, sorted
 eigenvalues, unit eigenvectors with a sign rule and a realness mask out.
+For N <= 2 it is the quadratic formula, for N >= 3 ``np.linalg.eig``.
 ``pencil_eigen`` builds the pencil's eigendata on it, at stacked points, from
 pencil matrices the caller formed once with ``SystemCouplingModel.pencil``.
 ``eigenvector_derivative`` differentiates r_hat by first-order perturbation
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SystemCouplingModel
+from .models import SystemCouplingModel, _inv
 
 
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
@@ -60,12 +61,50 @@ def _fix_signs(R: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(R, k, axis=-2) < 0, -R, R)
 
 
+def _eig_closed_form(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eig_decomposition`` for N <= 2, from the quadratic formula.  With
+    h = (a - d)/2 and s = -+sqrt(h^2 + bc), the eigenvalues of
+    [[a, b], [c, d]] are a + p = d + q, p = s - h and q = s + h, each taken
+    with the smaller of p and q, so a triangular matrix gets its diagonal
+    exactly.  The eigenvector is the larger of (b, p) and (q, c), so a
+    diagonal matrix gets exact unit vectors.  Where both vanish (A = a I),
+    and where the spectrum is not real, the vectors are those of the
+    identity."""
+    if A.shape[-1] == 1:
+        return A[..., 0], np.ones_like(A), np.ones(A.shape[:-2], dtype=bool)
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    m, h = (a + d) / 2.0, (a - d) / 2.0
+    disc = h * h + b * c
+    # the rule of the LAPACK path, with |Im w| = sqrt(-disc) for a complex pair
+    real = -disc <= (1e-9 * np.maximum(1.0, np.abs(m))) ** 2
+    # the last axis runs over the two families, s = -+sqrt(disc)
+    s = np.sqrt(np.maximum(disc, 0.0))[..., None] * np.array([-1.0, 1.0])
+    a, b, c, d, h = (x[..., None] for x in (a, b, c, d, h))
+    p, q = s - h, s + h   # lambda - a and lambda - d
+    w = np.where(np.abs(p) <= np.abs(q), a + p, d + q)
+    # sorted also where rounding swaps a pair closer than a few ulps
+    w = np.stack([np.minimum(w[..., 0], w[..., 1]), np.maximum(w[..., 0], w[..., 1])], axis=-1)
+    size1, size2 = b * b + p * p, q * q + c * c
+    first = size1 >= size2
+    identity = ~real[..., None] | (np.maximum(size1, size2) == 0.0)
+    x = np.where(identity, [1.0, 0.0], np.where(first, b, q))
+    y = np.where(identity, [0.0, 1.0], np.where(first, p, c))
+    # unit length, largest-|.| component (the first on a tie) positive
+    norm = np.sqrt(x * x + y * y) * np.where(np.where(np.abs(x) >= np.abs(y), x, y) < 0, -1.0, 1.0)
+    return w, np.stack([x / norm, y / norm], axis=-1), real
+
+
 def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted eigenvalues of the stacked matrices A (..., N, N), their unit
     eigenvectors (rows, largest-|.| component positive), and the mask (...,)
-    of matrices whose spectrum is real.  Where it is not, the eigenvalues are
-    the real parts and the vectors are those of the identity."""
-    w, V = np.linalg.eig(np.asarray(A, dtype=float))
+    of matrices whose spectrum is real: |Im w| <= 1e-9 max(1, max |Re w|).
+    Where it is not, the eigenvalues are the real parts and the vectors are
+    those of the identity.  N <= 2 takes the closed form, N >= 3
+    ``np.linalg.eig``."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] <= 2:
+        return _eig_closed_form(A)
+    w, V = np.linalg.eig(A)
     real = np.max(np.abs(w.imag), axis=-1) <= 1e-9 * np.maximum(
         1.0, np.max(np.abs(w.real), axis=-1))
     V = np.where(real[..., None, None], V.real, np.eye(V.shape[-1]))
@@ -87,20 +126,21 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     eigenvectors.
     """
     shifted = -xi[:, None, None] * np.eye(A.shape[-1]) + A
-    _, R, real = eig_decomposition(np.linalg.solve(B, shifted))
+    _, R, real = eig_decomposition(_inv(B) @ shifted)
     if not real.all():
         k = int(np.argmin(real))
         raise HyperbolicityError(U[k], v[k], xi[k])
     V = np.swapaxes(R, 1, 2)
 
-    lam_hat = np.einsum("nji,njk,nki->ni", V, A, V)
+    lam_hat = np.einsum("nji,nji->ni", V, A @ V)
     order = np.argsort(lam_hat, axis=1)
     V = np.take_along_axis(V, order[:, None, :], axis=2)
     lam_hat = np.take_along_axis(lam_hat, order, axis=1)
 
-    d = 1.0 / np.einsum("nji,njk,nki->ni", V, B, V)
+    BV = B @ V
+    d = 1.0 / np.einsum("nji,nji->ni", V, BV)
     mu = (-xi[:, None] + lam_hat) * d
-    L = np.linalg.inv(B @ V)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
+    L = _inv(BV)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
 
     R = np.swapaxes(V, 1, 2)
     flips = np.ones_like(mu)

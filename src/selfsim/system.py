@@ -221,10 +221,11 @@ def fit_envelope_constant(measures: WaveMeasureSet, coeffs: CoefficientFields,
 
 def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
                      tau: np.ndarray, eta: float, nu: float, A: float,
-                     ) -> tuple[np.ndarray, int, float]:
-    """Picard iteration of the correction map from theta = 0; returns
-    (theta, iterations, measured contraction factor)."""
-    theta = np.zeros_like(measures.phi)
+                     theta: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Picard iteration of the correction map from ``theta``; returns
+    (theta, iterations, measured contraction factor).  It makes at least
+    two maps, so that the factor is a measured ratio, unless the first
+    update is exactly zero."""
     bound = envelope_bound(tau, eta, nu, A)
     tol = FIX_TOL * max(float(np.linalg.norm(tau)), 1.0)
     alpha, q = 0.0, float("nan")
@@ -238,7 +239,7 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
             if it > 3 and q >= 1.0:
                 raise ContractionFailure("correction map", q, update)
         theta = new
-        if _converged(update, prev_update, tol):
+        if update == 0.0 or (it > 1 and _converged(update, prev_update, tol)):
             break
         prev_update = update
     else:
@@ -274,22 +275,25 @@ def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
 def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
                    Ct: np.ndarray, u_left: np.ndarray, u_right: np.ndarray,
                    eta: float, nu: float, A: float, delta: float,
+                   tau: np.ndarray | None = None, theta: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Newton iteration on the boundary condition u(M) = u_R, with the
-    frozen Jacobian ``Ct``, the A0^{-1}-weighted strength matrix; returns
-    (tau, theta, info)."""
+    frozen Jacobian ``Ct``, the A0^{-1}-weighted strength matrix, from the
+    strength ``tau`` (Ct^-1 (u_R - u_L) when None) and the correction
+    ``theta`` (zero when None); every correction solve starts from the last
+    one's theta.  Returns (tau, theta, info)."""
     Ct_inv = np.linalg.inv(Ct)
-    jump = u_right - u_left
-
-    tau = Ct_inv @ jump
+    if tau is None:
+        tau = Ct_inv @ (u_right - u_left)
+    if theta is None:
+        theta = np.zeros_like(measures.phi)
     alphas, residuals = [], []
-    theta = np.zeros_like(measures.phi)
     for it in range(1, STRENGTH_MAX_ITERS + 1):
         if np.linalg.norm(tau) > delta * (1.0 + 1e-9):
             raise SmallnessViolation(
                 f"strength |tau|={np.linalg.norm(tau):.3e} escaped the "
                 f"admissible ball of radius {delta:.3e}")
-        theta, _, alpha = solve_correction(measures, coeffs, tau, eta, nu, A)
+        theta, _, alpha = solve_correction(measures, coeffs, tau, eta, nu, A, theta)
         alphas.append(alpha)
         a = tau[None, :] * measures.phi + theta
         u_end = reconstruct_u(measures, coeffs, a, u_left)[-1]
@@ -388,6 +392,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     outer_res: list[float] = []
     alphas: list[float] = []
     scale = max(jump, 1.0)
+    tau = theta = None
 
     for outer in range(1, OUTER_MAX_ITERS + 1):
         coeffs = assemble_coefficients(model, U, v, xi, psi)
@@ -395,10 +400,11 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
         Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
         if outer == 1:
             # the envelope constant is fitted once, on the first iterate
-            tau0 = np.linalg.solve(Ct, u_right - u_left)
-            A = fit_envelope_constant(measures, coeffs, tau0, eta, nu)
+            tau = np.linalg.solve(Ct, u_right - u_left)
+            A = fit_envelope_constant(measures, coeffs, tau, eta, nu)
+        # later iterations start from the last one's strength and correction
         tau, theta, info = solve_strength(measures, coeffs, Ct, u_left, u_right,
-                                          eta, nu, A, delta)
+                                          eta, nu, A, delta, tau, theta)
         alphas.extend(info["correction_alphas"])
         a = tau[None, :] * measures.phi + theta
         U_new = reconstruct_u(measures, coeffs, a, u_left)

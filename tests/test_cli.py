@@ -167,6 +167,26 @@ def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, com
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg_file]
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("spectral-sweep", {"model": {"kind": "preset", "name": "p-system"},
+                        "model_options": {"bogus": 1}},
+     "model_options {'bogus': 1} go with a preset name; the model object "
+     "{'kind': 'preset', 'name': 'p-system'} takes a preset's options under \"options\""),
+    ("verify-lemmas", {"model": "two-band-fixture", "model_options": {"speeds": [0.0, 0.1]},
+                       "eps_ladder": [0.1, 0.05]},
+     "cannot build the model 'two-band-fixture' with options {'speeds': [0.0, 0.1]}: "
+     "ModelConstructionError: speed bands overlap"),
+], ids=["options-beside-a-model-object", "fixture-overlapping-bands"])
+def test_model_options_the_model_cannot_take_are_a_config_error(tmp_path, capsys, command,
+                                                                data, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"eps": 0.1, "grid": 128, **data}))
+    argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg_file]
+
+
 @pytest.mark.parametrize("command, model, data", [
     ("solve-scalar", "p-system", ["--eps", "0.1"]),
     ("solve-system", "burgers-identical", ["--eps", "0.1"]),

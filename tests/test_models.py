@@ -208,6 +208,15 @@ def test_two_band_fixture_preset_has_the_constant_speed_fields(options):
         assert np.array_equal(model.lam_high, lam_high)
 
 
+@pytest.mark.parametrize("speeds", [[0.0, 0.1], [0.0, 0.2], [0.4, -1.2, 0.4]],
+                         ids=["overlapping", "touching", "coincident"])
+def test_two_band_fixture_rejects_bands_that_are_not_disjoint(speeds):
+    # as the p-system builder does: the hypothesis check would fail
+    # "bands disjoint" on such a model
+    with pytest.raises(ModelConstructionError, match="speed bands overlap"):
+        preset_model("two-band-fixture", speeds=speeds)
+
+
 def test_preset_unknown_name():
     with pytest.raises(KeyError):
         preset_model("no-such-model")

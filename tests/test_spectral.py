@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+import selfsim.spectral
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
-from selfsim.models import SystemCouplingModel, validate_hypotheses
-from selfsim.spectral import (HyperbolicityError, eig_decomposition,
+from selfsim.models import SystemCouplingModel, _inv, preset_model, validate_hypotheses
+from selfsim.spectral import (GAP_FLOOR, HyperbolicityError, _fix_signs, eig_decomposition,
                               eigenvector_derivative, estimate_eta_nu,
                               matrix_derivatives, pencil_eigen)
 from selfsim.system import assemble_coefficients
@@ -39,6 +40,105 @@ def test_eig_decomposition_eigenpairs():
         np.testing.assert_allclose(A @ R[i], w[i] * R[i], atol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(R, axis=1), 1.0, rtol=1e-14)
     assert np.all(R[np.arange(2), np.abs(R).argmax(axis=1)] > 0)
+
+
+def _lapack_decomposition(A):
+    """eig_decomposition's contract through np.linalg.eig: the oracle of the
+    closed form."""
+    w, V = np.linalg.eig(A)
+    real = np.abs(w.imag).max(axis=-1) <= 1e-9 * np.maximum(1.0, np.abs(w.real).max(axis=-1))
+    order = np.argsort(w.real, axis=-1)
+    V = np.take_along_axis(V.real, order[..., None, :], axis=-1)
+    V = _fix_signs(V / np.linalg.norm(V, axis=-2, keepdims=True))
+    return np.take_along_axis(w.real, order, axis=-1), np.swapaxes(V, -1, -2), real
+
+
+def _with_spectrum(rng, w, count):
+    """``count`` matrices V diag(w) V^-1 of 2x2 eigenvector matrices V with
+    unit columns and condition number below 10."""
+    V = rng.standard_normal((4 * count, 2, 2))
+    V = V[np.linalg.cond(V) < 10.0][:count]
+    return (V * w[:, None, :]) @ np.linalg.inv(V)
+
+
+def _assert_matches_lapack(A, w_tol, r_tol):
+    w, R, real = eig_decomposition(A)
+    w_ref, R_ref, real_ref = _lapack_decomposition(A)
+    scale = np.abs(A).max(axis=(-2, -1))
+    assert real.all() and real_ref.all()
+    residual = A @ np.swapaxes(R, -1, -2) - np.swapaxes(R, -1, -2) * w[..., None, :]
+    assert np.all(np.abs(residual).max(axis=(-2, -1)) <= 1e-14 * scale)
+    np.testing.assert_allclose(np.linalg.norm(R, axis=-1), 1.0, rtol=1e-15)
+    assert np.all(np.abs(w - w_ref) <= w_tol * scale[:, None])
+    assert np.all(np.abs(R - R_ref) <= r_tol[:, None, None])
+    # the same sign rule: every vector points the way of LAPACK's
+    assert np.all(np.einsum("...ij,...ij->...i", R, R_ref) > 0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_closed_form_matches_lapack_on_real_spectra(rng, scale):
+    w = np.sort(rng.uniform(-1.0, 1.0, (200, 2)), axis=1) * scale
+    w[:, 1] += 0.1 * scale   # well separated
+    A = _with_spectrum(rng, w, 200)
+    _assert_matches_lapack(A, 1e-14, np.full(len(A), 1e-12))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_closed_form_matches_lapack_down_to_the_gap_floor(rng, scale):
+    # relative gaps from 1e-1 down to GAP_FLOOR, on a common shift: the
+    # eigenvectors of both paths are then accurate to about eps |A| / gap
+    gap = np.logspace(-1, np.log10(GAP_FLOOR), 50).repeat(4)
+    lam = rng.uniform(-1.0, 1.0, len(gap))
+    w = np.column_stack([lam, lam + gap * np.maximum(1.0, np.abs(lam))]) * scale
+    A = _with_spectrum(rng, w, len(gap))
+    _assert_matches_lapack(A, 1e-14, 1e-14 * np.abs(A).max(axis=(1, 2)) / (w[:, 1] - w[:, 0]))
+
+
+def test_closed_form_on_triangular_and_diagonal_matrices(rng):
+    for mask in ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]):
+        for scale in (1e-8, 1.0, 1e8):
+            A = rng.uniform(-1.0, 1.0, (100, 2, 2)) * scale * np.array(mask)
+            _assert_matches_lapack(A, 1e-14, np.full(len(A), 1e-12))
+    # a diagonal matrix gets the exact unit vectors, and its diagonal exactly
+    A = np.array([[[0.4, 0.0], [0.0, -1.2]], [[-3e8, 0.0], [0.0, 7e-8]]])
+    w, R, real = eig_decomposition(A)
+    assert real.all()
+    assert np.array_equal(R, np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]))
+    assert np.array_equal(w, np.sort(np.diagonal(A, axis1=1, axis2=2), axis=1))
+    # and a multiple of the identity, whose vectors are all eigenvectors
+    w, R, real = eig_decomposition(2.5 * np.eye(2))
+    assert real and np.array_equal(w, [2.5, 2.5]) and np.array_equal(R, np.eye(2))
+
+
+def test_closed_form_complex_pairs_get_identity_vectors(rng):
+    # the pair m +- i y, with y on both sides of the 1e-9 max(1, |m|) rule
+    m = rng.uniform(-3.0, 3.0, 40)
+    y = np.tile([1e-6, 1e-8, 2e-9, 5e-10, 1e-11], 8) * np.maximum(1.0, np.abs(m))
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    V = np.array([[1.0, 0.3], [-0.2, 1.0]])
+    A = V @ (m[:, None, None] * np.eye(2) + y[:, None, None] * rotation) @ np.linalg.inv(V)
+    w, R, real = eig_decomposition(A)
+    _, _, real_ref = _lapack_decomposition(A)
+    assert np.array_equal(real, real_ref) and np.array_equal(real, y < 1e-9 * np.maximum(1.0, np.abs(m)))
+    assert np.array_equal(R[~real], np.broadcast_to(np.eye(2), R[~real].shape))
+    np.testing.assert_allclose(w[~real], np.column_stack([m, m])[~real], rtol=1e-14)
+
+
+def test_closed_form_on_one_component():
+    A = np.array([[[-2.0]], [[0.0]], [[3e-8]]])
+    w, R, real = eig_decomposition(A)
+    assert real.all() and np.array_equal(w, A[..., 0]) and np.array_equal(R, np.ones_like(A))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stacked_inverse_matches_lapack(rng, N):
+    for scale in (1e-8, 1.0, 1e8):
+        A = (rng.standard_normal((200, N, N)) + 2.0 * np.eye(N)) * scale
+        A = A[np.linalg.cond(A) < 100.0]
+        np.testing.assert_allclose(_inv(A) @ A, np.broadcast_to(np.eye(N), A.shape), atol=1e-12)
+        np.testing.assert_allclose(_inv(A), np.linalg.inv(A), rtol=1e-12, atol=1e-12 / scale)
+    with pytest.raises(np.linalg.LinAlgError):
+        _inv(np.zeros((3, N, N)))
 
 
 def test_pencil_identities_p_system(p_system):
@@ -130,20 +230,31 @@ def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
 
 
 def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):
-    # one assembly (one eigensolve) and one hypothesis check (three)
-    eig, callers = np.linalg.eig, []
+    # one assembly (one eigensolve) and one hypothesis check (three) make 4
+    # eig_decomposition calls; LAPACK's eig serves them only for N >= 3
+    decompositions, callers = [], []
+    eig, decompose = np.linalg.eig, selfsim.spectral.eig_decomposition
 
-    def counted(a):
+    def counted_eig(a):
         callers.append(sys._getframe(1).f_code.co_name)
         return eig(a)
 
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    def counted_decomposition(a):
+        decompositions.append(np.shape(a)[-1])
+        return decompose(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(selfsim.spectral, "eig_decomposition", counted_decomposition)
     n = 64
-    xi = np.linspace(-p_system.M, p_system.M, n)
-    assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
-                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
-    validate_hypotheses(p_system)
-    assert callers == ["eig_decomposition"] * 4
+    for model in (p_system, preset_model("two-band-fixture", speeds=[-1.2, 0.4, 1.5])):
+        decompositions.clear()
+        callers.clear()
+        xi = np.linspace(-model.M, model.M, n)
+        assemble_coefficients(model, np.tile(model.u_ref, (n, 1)),
+                              np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+        validate_hypotheses(model)
+        assert decompositions == [model.N] * 4
+        assert callers == (["eig_decomposition"] * 4 if model.N >= 3 else [])
 
 
 @pytest.mark.parametrize("c", [0.05, 0.2, 0.5])

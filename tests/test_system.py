@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import selfsim.models
+import selfsim.spectral
 import selfsim.system
 from selfsim.color import ColorProfile
 from selfsim.models import build_scalar_model, preset_model, system_from_scalar
@@ -303,22 +305,23 @@ def test_assembly_forms_the_pencil_once(p_system):
     assert calls == [n, 2 * (model.N + 1) * n]
 
 
-def test_assembly_inverts_2n_matrices(p_system, monkeypatch):
-    # A0 once in the pencil and B r_hat once in the eigensolve, at the base
-    # points only
-    inv = np.linalg.inv
+def test_assembly_inverts_3n_matrices(p_system, monkeypatch):
+    # A0 once in the pencil, and B and B r_hat once each in the eigensolve,
+    # at the base points only, all through the one stacked inverse
+    inv = selfsim.models._inv
     matrices = []
 
     def counted(a):
         matrices.append(int(np.prod(np.shape(a)[:-2])))
         return inv(a)
 
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(selfsim.models, "_inv", counted)
+    monkeypatch.setattr(selfsim.spectral, "_inv", counted)
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
                           np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
-    assert sum(matrices) == 2 * n
+    assert matrices == [n] * 3
 
 
 def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypatch):
@@ -452,6 +455,35 @@ def test_solve_makes_two_assemblies_and_at_most_17_correction_maps(p_system, mon
                  p_system.u_ref - np.array([jump / 2.0, 0.0]),
                  p_system.u_ref + np.array([jump / 2.0, 0.0]))
     assert calls["assemble"] == 2 and calls["correction"] <= 17, calls
+
+
+def test_warm_started_solve_makes_at_most_11_correction_maps(p_system, monkeypatch):
+    # every correction solve after the first starts from the last theta, and
+    # the second outer iteration from the first one's (tau, theta); each
+    # correction solve still measures its contraction factor
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return correction_map(*args)
+
+    monkeypatch.setattr(selfsim.system, "correction_map", counted)
+    jump = 0.01 * p_system.delta0
+    state = solve_system(p_system, SystemSolveConfig(eps=EPS),
+                         p_system.u_ref - np.array([jump / 2.0, 0.0]),
+                         p_system.u_ref + np.array([jump / 2.0, 0.0]))
+    assert len(calls) <= 11 and state.outer_iterations == 2, len(calls)
+    estimates = np.array(state.contraction_estimates)
+    assert len(estimates) >= 2 * state.outer_iterations
+    assert np.all(np.isfinite(estimates) & (estimates > 0.0) & (estimates < 1.0)), estimates
+
+
+def test_zero_jump_returns_the_constant_state(p_system):
+    # tau = 0 makes the correction map's first update exactly 0, which
+    # stops it before a second map would measure a ratio of zeros
+    state = solve_system(p_system, SystemSolveConfig(eps=EPS), p_system.u_ref, p_system.u_ref)
+    assert np.array_equal(state.u.values, np.tile(p_system.u_ref, (len(state.u.xi), 1)))
+    assert state.outer_iterations == 1 and state.contraction_estimates == (0.0,)
 
 
 def test_nan_source_is_rejected_by_correction_map(p_system):
