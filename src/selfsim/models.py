@@ -430,8 +430,8 @@ def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
     A, B, _ = model.pencil(U[ok], V[ok])
     lam, _, real = eig_decomposition(A)
     # smallest gap of the sorted speeds relative to max(1, max |lambda|), the
-    # scale of eigenvector_derivative's coincidence floor; 0 where a sample
-    # has a complex pair
+    # scale of pencil_eigen's coincidence floor; 0 where a sample has a
+    # complex pair
     gap = (np.diff(lam, axis=-1).min(axis=-1, initial=np.inf)
            / np.maximum(1.0, np.abs(lam).max(axis=-1)))
     min_gap = gap.min(initial=np.inf) if real.all() else 0.0

@@ -5,8 +5,8 @@ of an eps ladder, so every integral against exp(-g/eps) is carried either with
 a running max-shift or entirely in log space via logaddexp accumulation.
 `weighted_transfer` is the one transfer-integral kernel, on stacked rows with
 one anchor each: a J, F or J^psi coefficient of `measures` is one row, and
-the correction map of `system` is one call of 2N rows.  `log_of` is the one
-way a nonnegative weight enters log space.
+the correction map of `system` is one call of 2N rows per strength.
+`log_of` is the one way a nonnegative weight enters log space.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 eigenvalues, unit eigenvectors with a sign rule and a realness mask out.
 For N <= 2 it is the quadratic formula, for N >= 3 ``np.linalg.eig``.
 ``pencil_eigen`` builds the pencil's eigendata on it, at stacked points, from
-pencil matrices the caller formed once with ``SystemCouplingModel.pencil``.
-``eigenvector_derivative`` differentiates r_hat by first-order perturbation
-of the pencil (Nelson, AIAA J. 14, 1976), with no eigensolve, along the
-derivatives of ``matrix_derivatives``, which inverts A0 only at the base
-points (product rule).
+pencil matrices the caller formed once with ``SystemCouplingModel.pencil``,
+and raises ``HyperbolicityError`` where the speeds are complex or coincide.
+Nothing here differentiates the eigendata: the system solver differences
+B r_hat along its grid, and ``estimate_eta_nu`` differences whole eigensolves
+in the color.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .models import SystemCouplingModel, _inv
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
 GAP_FLOOR = 1e-8
 
-# central-difference step of the model matrices A0, A1, B0: state (x delta0)
-# and color
-MATRIX_STEP = 1e-5
+# color step of the central difference that ``estimate_eta_nu`` takes of B r_hat
+COLOR_STEP = 1e-5
 ETA_NU_SAMPLES = 24  # ball states sampled by ``estimate_eta_nu``
 
 
@@ -118,7 +117,8 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     """Eigendata of the pencil (-xi I + A, B), given its matrices A, B
     (n, N, N) at the stacked points (U[k], v[k], xi[k]), from
     ``eig_decomposition`` of B^-1 (-xi I + A); the points only name the first
-    non-hyperbolic one in a HyperbolicityError.
+    non-hyperbolic one in a HyperbolicityError: complex speeds, or two speeds
+    closer than GAP_FLOOR max(1, max |mu|).
 
     Eigenvector signs are fixed per point (largest component positive) and
     then continued along the points: each r_hat_i is flipped so that
@@ -140,6 +140,11 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     BV = B @ V
     d = 1.0 / np.einsum("nji,nji->ni", V, BV)
     mu = (-xi[:, None] + lam_hat) * d
+    gap = np.where(np.eye(mu.shape[1], dtype=bool), np.inf, np.abs(mu[:, None, :] - mu[:, :, None]))
+    close = (gap < GAP_FLOOR * np.maximum(1.0, np.abs(mu).max(axis=1))[:, None, None]).any(axis=(1, 2))
+    if close.any():
+        k = int(np.argmax(close))
+        raise HyperbolicityError(U[k], v[k], xi[k], "coincident speeds")
     L = _inv(BV)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
 
     R = np.swapaxes(V, 1, 2)
@@ -150,73 +155,35 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
                         l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d)
 
 
-def eigenvector_derivative(data: SpectralData, dK, dB, U, v, xi) -> np.ndarray:
-    """dr_hat (r_hat's layout) along derivatives (dK, dB) of the pencil
-    (-xi I + A, B), which broadcast against (n, N, N) with leading directions:
-    dr_j = sum_k C_kj r_k, C_kj = l_k . (dK - mu_j dB) r_j / (mu_j - mu_k) for
-    k != j and C_jj = -sum_{k != j} C_kj (r_j . r_k), which keeps |r_j| = 1.
-    Raises HyperbolicityError at the first point where two speeds coincide."""
-    mu, Rc = data.mu, np.swapaxes(data.r_hat, -1, -2)  # columns r_j
-    j, off = np.arange(mu.shape[1]), ~np.eye(mu.shape[1], dtype=bool)
-    gap = mu[:, None, :] - mu[:, :, None]  # [n, k, j] = mu_j - mu_k
-    floor = GAP_FLOOR * np.maximum(1.0, np.abs(mu).max(axis=1))
-    close = ((np.abs(gap) < floor[:, None, None]) & off).any(axis=(1, 2))
-    if close.any():
-        k = int(np.argmax(close))
-        raise HyperbolicityError(U[k], v[k], xi[k], "coincident speeds")
-    P = data.l_hat @ (dK @ Rc - (dB @ Rc) * mu[:, None, :])
-    C = np.where(off, P / np.where(off, gap, 1.0), 0.0)
-    C[..., j, j] = -np.einsum("...kj,...jk->...j", C, data.r_hat @ Rc)
-    return np.swapaxes(Rc @ C, -1, -2)
-
-
-def matrix_derivatives(model: SystemCouplingModel, U, v, steps, pencil) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives (dA, dB), shape (m, n, N, N), of the pencil matrices
-    A = A1 A0^-1 and B = B0 A0^-1 at the n points (U, v), each along a row of
-    ``steps`` (m, N + 1), a step in (u, v), per unit length.
-
-    A0, A1 and B0 are differenced centrally at the 2mn shifted points in one
-    stacked call each, and combined by the product rule with the base points'
-    ``pencil`` = (A, B, A0^-1) from ``model.pencil(U, v)``:
-    dA = (dA1 - A dA0) A0^-1 and dB = (dB0 - B dA0) A0^-1.  A0 is not
-    inverted at the shifted points, and no eigensolve is made."""
-    steps = np.asarray(steps, dtype=float)[:, None, :]
-    pts = np.column_stack([U, v])
-    shifted = np.concatenate([pts + steps, pts - steps]).reshape(-1, model.N + 1)
-    shape = (2, len(steps), len(pts), model.N, model.N)
-    h = 2.0 * np.linalg.norm(steps, axis=-1)[..., None, None]
-
-    def central(f):
-        values = np.asarray(f(shifted[:, :-1], shifted[:, -1]), dtype=float).reshape(shape)
-        return (values[0] - values[1]) / h
-
-    dA0 = central(model.A0)
-    A, B, A0_inv = pencil
-    return (central(model.A1) - A @ dA0) @ A0_inv, (central(model.B0) - B @ dA0) @ A0_inv
-
-
 def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     """eta = max sampled operator-norm distance of B from the identity, over
     the colors of the hypothesis check, which include v = +-1;
-    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by pencil perturbation at
-    interior colors, where the central difference in v stays in [-1, 1].
-    The pencil and its derivatives are formed once per (state, color) sample
-    and repeated over the xi samples."""
+    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by central differences in
+    v of whole eigensolves at interior colors, where the difference stays in
+    [-1, 1], each shifted r_hat matched in sign to the base point.  The
+    pencil is formed once per (state, color) sample and its two color
+    shifts, and repeated over the xi samples."""
     pts = model.ball_samples(ETA_NU_SAMPLES)
     colors = np.linspace(-1.0, 1.0, 9)
     _, B, _ = model.pencil(np.repeat(pts, len(colors), axis=0), np.tile(colors, len(pts)))
     eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
 
-    vs = np.linspace(-1.0 + MATRIX_STEP, 1.0 - MATRIX_STEP, 9)
+    h = COLOR_STEP
+    vs = np.linspace(-1.0 + h, 1.0 - h, 9)
     xis = np.linspace(-model.M, model.M, 5)
-    # the (state, color) points, states outer, and the (state, color, xi)
-    # samples, flattened in that order
+    # the (state, color) points, states outer, then their shifts to v + h and
+    # to v - h; every point is repeated over the xi samples
     U, v = np.repeat(pts, len(vs), axis=0), np.tile(vs, len(pts))
-    pencil = model.pencil(U, v)
-    dA, dB = matrix_derivatives(model, U, v, MATRIX_STEP * np.eye(model.N + 1)[-1:], pencil)
-    A, B, dA, dB = (np.repeat(m, len(xis), axis=-3) for m in (*pencil[:2], dA, dB))
-    U, v, xi = np.repeat(U, len(xis), axis=0), np.repeat(v, len(xis)), np.tile(xis, len(U))
-    base = pencil_eigen(A, B, U, v, xi)
-    dR = np.swapaxes(eigenvector_derivative(base, dA, dB, U, v, xi), -1, -2)
-    nu = np.abs(base.l_hat @ (dB @ np.swapaxes(base.r_hat, 1, 2) + B @ dR)).max()
+    shifts = np.concatenate([v + h, v - h])
+    A, B = (np.repeat(np.concatenate([m, m_shifted]), len(xis), axis=0) for m, m_shifted in
+            zip(model.pencil(U, v)[:2], model.pencil(np.tile(U, (2, 1)), shifts)[:2]))
+    data = pencil_eigen(A, B, np.repeat(np.tile(U, (3, 1)), len(xis), axis=0),
+                        np.repeat(np.concatenate([v, shifts]), len(xis)), np.tile(xis, 3 * len(v)))
+    R, R_hi, R_lo = np.split(data.r_hat, 3)
+    _, B_hi, B_lo = np.split(B, 3)
+
+    def BR(B, S):  # columns B r_hat_j, each r_hat_j matched in sign to the base point
+        return B @ np.swapaxes(S * np.sign(np.einsum("nij,nij->ni", R, S))[..., None], 1, 2)
+
+    nu = np.abs(np.split(data.l_hat, 3)[0] @ (BR(B_hi, R_hi) - BR(B_lo, R_lo))).max() / (2.0 * h)
     return float(eta), float(nu)

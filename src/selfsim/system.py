@@ -2,23 +2,26 @@
 
 The state derivative is decomposed in the generalized eigenbasis,
 A0 u_xi = sum_j a_j r_hat_j.  Projecting the profile equation on l_hat_i gives
-eps a_i' = mu_i a_i - eps sum_j a_j l_hat_i . (B r_hat_j)', where the total
-derivative runs along xi, along u at the rate u_xi and along the color at the
-rate psi.  Each characteristic coefficient is written as a_i = tau_i phi*_i +
-theta_i: a wave strength times the fundamental measure of its family plus a
-small correction.  The solve is a three-level fixed point:
+eps a_i' = mu_i a_i - eps sum_j a_j l_hat_i . (B r_hat_j)', where the
+derivative runs along the profile's path (xi, u(xi), v(xi)).  Each
+characteristic coefficient is written as a_i = tau_i phi*_i + theta_i: a wave
+strength times the fundamental measure of its family plus a small
+correction.  The solve is a two-level fixed point:
 
-  1. correction: theta = T(u, tau, theta), a contraction in the weighted
-     sup-norm ||theta|| = sum_k sup |theta_k| / sum_h phi*_h;
-  2. strength:   tau such that the reconstructed profile hits u(M) = u_R,
-     solved by a frozen-Jacobian Newton iteration on the strength matrix;
-  3. state:      outer Picard iteration on u itself (the eigenfields are
-     frozen at the current iterate during the two inner solves).
+  1. frozen path: the eigenfields and the path are frozen at the current
+     iterate U, so the coupling l_hat_i . (B r_hat_j)' is a grid difference
+     along U and the correction map is linear in a.  Its fixed points at the
+     N unit strengths tau = e_k, theta^(k), come from one batched Picard
+     iteration, a contraction in the weighted sup-norm
+     ||theta|| = sum_k sup |theta_k| / sum_h phi*_h.  The strength then
+     solves u(M) = u_L + S tau = u_R exactly, column k of S being
+     int A0^-1 sum_j (e_k phi*_k + theta^(k))_j r_hat_j dxi, and
+     theta = sum_k tau_k theta^(k);
+  2. state: outer Picard iteration on u itself.
 
-The two contractions (1 and 3) stop on the a-posteriori error bound
-q/(1 - q)·update, with q the measured ratio of their last two updates; the
-first update alone stops when it is within the tolerance.  The strength
-Newton stops on its boundary residual, which is a direct error check.
+Both contractions stop on the a-posteriori error bound q/(1 - q)·update,
+with q the measured ratio of their last two updates; the first update alone
+stops when it is within the tolerance.
 """
 
 from __future__ import annotations
@@ -33,16 +36,16 @@ from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
 from .models import SystemCouplingModel
 from .quadrature import log_of, weighted_transfer
-from .spectral import MATRIX_STEP, eigenvector_derivative, matrix_derivatives, pencil_eigen
+from .spectral import pencil_eigen
 
 PHI_SUM_FLOOR = 1e-300
 
-# stopping rules of the three levels: the error bound of the correction
-# map's E-norm update (relative to max(|tau|, 1)), the boundary residual
-# |u(M) - u_R| of the strength Newton, and the error bound of the outer
-# state update (relative to max(|jump|, 1))
+# the error bound of the correction's E-norm update (relative to
+# max(|tau|, 1)), the gate on the returned profile's boundary residual
+# |u(M) - u_R|, and the error bound of the outer state update (relative to
+# max(|jump|, 1))
 FIX_TOL, MAX_ITERS = 1e-12, 400
-STRENGTH_TOL, STRENGTH_MAX_ITERS = 1e-9, 60
+STRENGTH_TOL = 1e-9
 OUTER_TOL, OUTER_MAX_ITERS = 1e-8, 40
 
 
@@ -115,16 +118,15 @@ class SystemSolveConfig:
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Grid samples of the eigenstructure and of the coupling tensor
-    ``coupling[n, m, i, j] = l_hat_i . d_m(B r_hat_j)``, differentiated along
-    the directions m = xi, u_1..u_N, v."""
+    """Grid samples of the eigenstructure along a path (xi, U(xi), v(xi)) and
+    of the coupling ``coupling[n, i, j] = l_hat_i . (B r_hat_j)'``, the
+    derivative taken along the path."""
 
     xi: np.ndarray
-    psi: np.ndarray           # (n,)
     mu: np.ndarray            # (n, N)
     r_hat: np.ndarray         # (n, N, N), [point, family, component]
     A0_inv: np.ndarray        # (n, N, N)
-    coupling: np.ndarray      # (n, N + 2, N, N), [point, direction, i, j]
+    coupling: np.ndarray      # (n, N, N), [point, i, j]
 
     @property
     def N(self) -> int:
@@ -132,30 +134,20 @@ class CoefficientFields:
 
 
 def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
-                          v: np.ndarray, xi: np.ndarray,
-                          psi: np.ndarray) -> CoefficientFields:
-    """Pointwise eigendata plus the coefficients of the characteristic ODE
-    system, from one pencil, one eigensolve and first-order perturbation of
-    the pencil."""
+                          v: np.ndarray, xi: np.ndarray) -> CoefficientFields:
+    """Pointwise eigendata along the path, from one pencil and one
+    eigensolve, and the coupling from central differences of B r_hat along
+    the grid (one-sided at the two ends)."""
     N = model.N
     U = np.asarray(U, dtype=float).reshape(len(xi), N)
     v = np.asarray(v, dtype=float)
     xi = np.asarray(xi, dtype=float)
 
-    A, B, A0_inv = pencil = model.pencil(U, v)
+    A, B, A0_inv = model.pencil(U, v)
     base = pencil_eigen(A, B, U, v, xi)
-    L, R = base.l_hat, np.swapaxes(base.r_hat, 1, 2)  # R: columns r_hat_j
-
-    # pencil derivatives along xi (dK = -I, dB = 0), the N states and the
-    # color, stacked on a leading direction axis
-    dA, dB = matrix_derivatives(model, U, v, np.diag([MATRIX_STEP * model.delta0] * N + [MATRIX_STEP]),
-                                pencil)
-    dK = np.concatenate([np.broadcast_to(-np.eye(N), dA[:1].shape), dA])
-    dB = np.concatenate([np.zeros_like(dB[:1]), dB])
-    dR = np.swapaxes(eigenvector_derivative(base, dK, dB, U, v, xi), -1, -2)
-    coupling = np.swapaxes(L @ (dB @ R + B @ dR), 0, 1)
-    return CoefficientFields(xi=xi, psi=np.asarray(psi, dtype=float), mu=base.mu,
-                             r_hat=base.r_hat, A0_inv=A0_inv, coupling=coupling)
+    coupling = base.l_hat @ np.gradient(B @ np.swapaxes(base.r_hat, 1, 2), xi, axis=0)
+    return CoefficientFields(xi=xi, mu=base.mu, r_hat=base.r_hat, A0_inv=A0_inv,
+                             coupling=coupling)
 
 
 def build_measures(model: SystemCouplingModel, coeffs: CoefficientFields,
@@ -180,59 +172,44 @@ def envelope_ratio(theta: np.ndarray, measures: WaveMeasureSet) -> np.ndarray:
 
 
 def _state_rate(coeffs: CoefficientFields, a: np.ndarray) -> np.ndarray:
-    """u_xi from A0 u_xi = sum_j a_j r_hat_j."""
-    return np.einsum("nab,nb->na", coeffs.A0_inv, np.einsum("nj,njb->nb", a, coeffs.r_hat))
-
-
-def _coupling_source(coeffs: CoefficientFields, a: np.ndarray) -> np.ndarray:
-    """-sum_j a_j l_hat_i . (B r_hat_j)', the total derivative taken along xi,
-    along u at the rate u_xi and along the color at the rate psi."""
-    rate = np.column_stack([np.ones(len(a)), _state_rate(coeffs, a), coeffs.psi])
-    total = np.einsum("nm,nmij->nij", rate, coeffs.coupling)  # l_hat_i . (B r_hat_j)'
-    return -(total @ a[:, :, None])[..., 0]
+    """u_xi from A0 u_xi = sum_j a_j r_hat_j, for a (..., n, N)."""
+    return np.einsum("nab,...nb->...na", coeffs.A0_inv,
+                     np.einsum("...nj,njb->...nb", a, coeffs.r_hat))
 
 
 def correction_map(measures: WaveMeasureSet, coeffs: CoefficientFields,
                    tau: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """One application of the correction map T(u, tau, theta)."""
-    source = _coupling_source(coeffs, tau[None, :] * measures.phi + theta)
+    """One application of the correction map at m strengths at once: tau
+    (m, N) and theta (m, n, N) to T(u, tau, theta) (m, n, N).  The source is
+    -sum_j a_j l_hat_i . (B r_hat_j)' with a = tau phi* + theta, so the map is
+    linear in (tau, theta)."""
+    a = tau[:, None, :] * measures.phi + theta
+    source = -np.swapaxes(coeffs.coupling @ a[..., None], 1, 2).reshape(-1, len(measures.xi))
     # the kernel takes a nonnegative source: the positive and the negative
-    # part of every family are its 2N rows, each anchored at c_k
-    N = measures.N
-    parts = np.concatenate([source.T, -source.T])
-    T = weighted_transfer(np.concatenate([measures.log_phi.T] * 2),
-                          log_of(np.maximum(parts, 0.0)), measures.xi,
-                          np.tile(measures.c_index, 2))
-    return (T[:N] - T[N:]).T
+    # part of every (strength, family) row are its 2mN rows, each anchored
+    # at the family's c_k
+    rows = len(source)
+    log_phi = np.tile(measures.log_phi.T, (2 * len(tau), 1))
+    T = weighted_transfer(log_phi, log_of(np.maximum(np.concatenate([source, -source]), 0.0)),
+                          measures.xi, np.tile(measures.c_index, 2 * len(tau)))
+    return np.swapaxes((T[:rows] - T[rows:]).reshape(len(tau), measures.N, -1), 1, 2)
 
 
-def fit_envelope_constant(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                          tau: np.ndarray, eta: float, nu: float) -> float:
-    """A = 4 x the envelope ratio measured on one probe application at
-    theta = 0 (with a floor for degenerate probes)."""
-    t = float(np.linalg.norm(tau))
-    scale = eta * t + t * t + nu * t
-    if scale <= 0:
-        return 1.0
-    probe = correction_map(measures, coeffs, tau, np.zeros_like(measures.phi))
-    c_fit = float(envelope_ratio(probe, measures).max()) / scale
-    return max(4.0 * c_fit, 1e-6)
-
-
-def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                     tau: np.ndarray, eta: float, nu: float, A: float,
-                     theta: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Picard iteration of the correction map from ``theta``; returns
-    (theta, iterations, measured contraction factor).  It makes at least
+def solve_corrections(measures: WaveMeasureSet, coeffs: CoefficientFields,
+                      theta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Picard iteration of the correction map at the N unit strengths
+    tau = e_k, batched, from ``theta`` (N, n, N); it stops on the error bound
+    of the largest of the N E-norm updates, at ``tol``.  Returns
+    (theta, the first map, measured contraction factor).  It makes at least
     two maps, so that the factor is a measured ratio, unless the first
     update is exactly zero."""
-    bound = envelope_bound(tau, eta, nu, A)
-    tol = FIX_TOL * max(float(np.linalg.norm(tau)), 1.0)
+    units = np.eye(measures.N)
     alpha, q = 0.0, float("nan")
-    prev_update = None
+    prev_update = first = None
     for it in range(1, MAX_ITERS + 1):
-        new = correction_map(measures, coeffs, tau, theta)
-        update = weighted_norm(new - theta, measures)
+        new = correction_map(measures, coeffs, units, theta)
+        first = new if first is None else first
+        update = max(weighted_norm(d, measures) for d in new - theta)
         if prev_update is not None and prev_update > 0:
             q = update / prev_update
             alpha = max(alpha, q)
@@ -244,21 +221,13 @@ def solve_correction(measures: WaveMeasureSet, coeffs: CoefficientFields,
         prev_update = update
     else:
         raise ContractionFailure("correction map (no convergence)", q, update)
-
-    ratio = envelope_ratio(theta, measures)
-    worst = float(ratio.max())
-    if worst > bound * (1.0 + 1e-9) + 1e-15:
-        flat = int(np.argmax(ratio))
-        n_idx, k_idx = np.unravel_index(flat, ratio.shape)
-        raise EnvelopeViolation(int(k_idx), float(measures.xi[n_idx]),
-                                worst / max(bound, 1e-300))
-    return theta, it, alpha
+    return theta, first, alpha
 
 
 def strength_matrix(measures: WaveMeasureSet, cols: np.ndarray) -> np.ndarray:
     """Matrix with k-th column int phi*_k cols_k dxi, for columns given as
-    (n, N, N) [point, family, component]: A0^{-1} r_hat_k for the
-    boundary-matching Newton update, r_hat_k for beta."""
+    (n, N, N) [point, family, component]: A0^{-1} r_hat_k for the strength
+    solve, r_hat_k for beta."""
     C = np.trapezoid(measures.phi[:, :, None] * cols, measures.xi, axis=0).T
     if abs(np.linalg.det(C)) < 1e-12:
         raise SmallnessViolation("strength matrix singular to tolerance; "
@@ -272,41 +241,44 @@ def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
     return u_left[None, :] + GridFunction(measures.xi, _state_rate(coeffs, a)).cumtrapz().values
 
 
-def solve_strength(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                   Ct: np.ndarray, u_left: np.ndarray, u_right: np.ndarray,
-                   eta: float, nu: float, A: float, delta: float,
-                   tau: np.ndarray | None = None, theta: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Newton iteration on the boundary condition u(M) = u_R, with the
-    frozen Jacobian ``Ct``, the A0^{-1}-weighted strength matrix, from the
-    strength ``tau`` (Ct^-1 (u_R - u_L) when None) and the correction
-    ``theta`` (zero when None); every correction solve starts from the last
-    one's theta.  Returns (tau, theta, info)."""
-    Ct_inv = np.linalg.inv(Ct)
-    if tau is None:
-        tau = Ct_inv @ (u_right - u_left)
-    if theta is None:
-        theta = np.zeros_like(measures.phi)
-    alphas, residuals = [], []
-    for it in range(1, STRENGTH_MAX_ITERS + 1):
-        if np.linalg.norm(tau) > delta * (1.0 + 1e-9):
-            raise SmallnessViolation(
-                f"strength |tau|={np.linalg.norm(tau):.3e} escaped the "
-                f"admissible ball of radius {delta:.3e}")
-        theta, _, alpha = solve_correction(measures, coeffs, tau, eta, nu, A, theta)
-        alphas.append(alpha)
-        a = tau[None, :] * measures.phi + theta
-        u_end = reconstruct_u(measures, coeffs, a, u_left)[-1]
-        res = u_right - u_end
-        residuals.append(float(np.linalg.norm(res)))
-        if residuals[-1] <= STRENGTH_TOL:
-            break
-        tau = tau + Ct_inv @ res
-    else:
-        raise ContractionFailure("strength solve (no convergence)",
-                                 _ratio(residuals), residuals[-1])
-    return tau, theta, {"iterations": it, "correction_alphas": alphas,
-                        "residual": residuals[-1]}
+def solve_frozen_path(measures: WaveMeasureSet, coeffs: CoefficientFields,
+                      u_left: np.ndarray, u_right: np.ndarray, delta: float,
+                      units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """One outer iteration's solve on the frozen path: the unit corrections
+    theta^(k) from ``units`` (N, n, N), then the strength tau with
+    u(M) = u_R.  The unit solves stop at FIX_TOL / (sqrt(N) min(delta, 1)),
+    so that theta = sum_k tau_k theta^(k) meets FIX_TOL max(|tau|, 1) for
+    |tau| <= delta, which is checked.  Returns (tau, theta, units, info)."""
+    N = measures.N
+    units, first, alpha = solve_corrections(measures, coeffs, units,
+                                            FIX_TOL / (np.sqrt(N) * min(delta, 1.0)))
+    Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
+    S = Ct + np.trapezoid(_state_rate(coeffs, units), measures.xi, axis=1).T
+    tau = np.linalg.solve(S, u_right - u_left)
+    if np.linalg.norm(tau) > delta * (1.0 + 1e-9):
+        raise SmallnessViolation(
+            f"strength |tau|={np.linalg.norm(tau):.3e} escaped the "
+            f"admissible ball of radius {delta:.3e}")
+    return tau, np.tensordot(tau, units, axes=1), units, {"first_map": first, "alpha": alpha}
+
+
+def _envelope_constant(measures: WaveMeasureSet, probe: np.ndarray, tau: np.ndarray,
+                       eta: float, nu: float) -> float:
+    """A = 4 x the envelope ratio of the first correction map at ``tau``,
+    ``probe`` (with a floor for degenerate probes)."""
+    scale = envelope_bound(tau, eta, nu, 1.0)
+    if scale <= 0:
+        return 1.0
+    return max(4.0 * float(envelope_ratio(probe, measures).max()) / scale, 1e-6)
+
+
+def _check_envelope(theta: np.ndarray, measures: WaveMeasureSet, bound: float) -> None:
+    ratio = envelope_ratio(theta, measures)
+    worst = float(ratio.max())
+    if worst > bound * (1.0 + 1e-9) + 1e-15:
+        n_idx, k_idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        raise EnvelopeViolation(int(k_idx), float(measures.xi[n_idx]),
+                                worst / max(bound, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -327,6 +299,7 @@ class SystemSolveState:
     beta: float
     envelope_constant: float
     delta: float
+    # one per outer iteration: the largest measured ratio of its correction solve
     contraction_estimates: tuple[float, ...]
     eps: float
     u_left: np.ndarray
@@ -381,9 +354,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     M = config.M if config.M is not None else model.M
     n = config.grid_size if config.grid_size is not None else default_grid_size(M, config.eps)
     xi = uniform_grid(M, n)
-    profile = ColorProfile(config.eps, config.p, M)
-    v = profile.evaluate_v(xi)
-    psi = profile.evaluate_psi(xi)
+    v = ColorProfile(config.eps, config.p, M).evaluate_v(xi)
 
     blend = (v[:, None] + 1.0) / 2.0
     U = u_left[None, :] + (u_right - u_left)[None, :] * blend
@@ -392,20 +363,21 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     outer_res: list[float] = []
     alphas: list[float] = []
     scale = max(jump, 1.0)
-    tau = theta = None
+    units = np.zeros((model.N, n, model.N))
 
     for outer in range(1, OUTER_MAX_ITERS + 1):
-        coeffs = assemble_coefficients(model, U, v, xi, psi)
+        coeffs = assemble_coefficients(model, U, v, xi)
         measures = build_measures(model, coeffs, config.eps)
-        Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
+        # the unit corrections start from the last iteration's
+        tau, theta, units, info = solve_frozen_path(measures, coeffs, u_left, u_right,
+                                                    delta, units)
+        alphas.append(info["alpha"])
         if outer == 1:
-            # the envelope constant is fitted once, on the first iterate
-            tau = np.linalg.solve(Ct, u_right - u_left)
-            A = fit_envelope_constant(measures, coeffs, tau, eta, nu)
-        # later iterations start from the last one's strength and correction
-        tau, theta, info = solve_strength(measures, coeffs, Ct, u_left, u_right,
-                                          eta, nu, A, delta, tau, theta)
-        alphas.extend(info["correction_alphas"])
+            # the envelope constant is fitted once, on the first map of the
+            # first iteration, at its strength
+            A = _envelope_constant(measures, np.tensordot(tau, info["first_map"], axes=1),
+                                   tau, eta, nu)
+        _check_envelope(theta, measures, envelope_bound(tau, eta, nu, A))
         a = tau[None, :] * measures.phi + theta
         U_new = reconstruct_u(measures, coeffs, a, u_left)
         outer_res.append(float(np.abs(U_new - U).max()) / scale)
@@ -423,6 +395,11 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
             f"converged profile leaves the state ball at xi={xi[k]:.4f}: |u - u_ref| = "
             f"{dist[k]:.6g} exceeds delta0 = {model.delta0:.6g} by {dist[k] - model.delta0:.3e}")
 
+    boundary_residual = float(np.linalg.norm(U[-1] - u_right))
+    if boundary_residual > STRENGTH_TOL:
+        raise SmallnessViolation(
+            f"the profile misses u_R by {boundary_residual:.3e} > {STRENGTH_TOL:g}: "
+            "the strength solve is ill-conditioned")
     u_fn = GridFunction(xi, U)
     du = np.gradient(U, xi, axis=0)
     beta = float(np.linalg.norm(np.linalg.inv(strength_matrix(measures, coeffs.r_hat)), 2))
@@ -431,7 +408,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
         tau=tau, theta=theta, a=a,
         measures=measures, coefficients=coeffs,
         weighted_norm_theta=weighted_norm(theta, measures),
-        boundary_residual=float(np.linalg.norm(U[-1] - u_right)),
+        boundary_residual=boundary_residual,
         equation_residual=equation_residual(model, xi, U, v, config.eps),
         outer_residuals=tuple(outer_res),
         tv_u=u_fn.tv(),

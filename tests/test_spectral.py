@@ -11,8 +11,7 @@ from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
 from selfsim.models import SystemCouplingModel, _inv, preset_model, validate_hypotheses
 from selfsim.spectral import (GAP_FLOOR, HyperbolicityError, _fix_signs, eig_decomposition,
-                              eigenvector_derivative, estimate_eta_nu,
-                              matrix_derivatives, pencil_eigen)
+                              estimate_eta_nu, pencil_eigen)
 from selfsim.system import assemble_coefficients
 
 
@@ -251,7 +250,7 @@ def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):
         callers.clear()
         xi = np.linspace(-model.M, model.M, n)
         assemble_coefficients(model, np.tile(model.u_ref, (n, 1)),
-                              np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+                              np.linspace(-1.0, 1.0, n), xi)
         validate_hypotheses(model)
         assert decompositions == [model.N] * 4
         assert callers == (["eig_decomposition"] * 4 if model.N >= 3 else [])
@@ -278,79 +277,6 @@ def test_eta_covers_the_colors_of_the_hypothesis_check(p_system, c):
     assert eta == pytest.approx(c / 2.0, rel=1e-12)
 
 
-def _product_rule_model(p_system):
-    """The p-system with A0 and B0 that depend on the state and the color."""
-    def A0(u, v):
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
-        out[..., 0, 0] = 1.0 + 0.2 * u[..., 0]
-        out[..., 0, 1] = 0.1 * v
-        out[..., 1, 1] = 1.5 + 0.1 * u[..., 1] + 0.05 * v * u[..., 0]
-        return out
-
-    def B0(u, v):
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        out = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape) + (2, 2))
-        out[..., 0, 0] = 1.0 + 0.3 * u[..., 0] ** 2
-        out[..., 1, 0] = 0.1 * v + 0.2 * u[..., 1]
-        out[..., 1, 1] = 1.0 + 0.1 * v
-        return out
-
-    return dataclasses.replace(p_system, A0=A0, B0=B0)
-
-
-def _pencil_differences(model, U, v, steps):
-    """Central differences of the pencil's A and B themselves."""
-    steps = np.asarray(steps, dtype=float)
-    h = 2.0 * np.linalg.norm(steps, axis=-1)[:, None, None, None]
-    hi = [model.pencil(U + s[:-1], v + s[-1]) for s in steps]
-    lo = [model.pencil(U - s[:-1], v - s[-1]) for s in steps]
-    return tuple((np.stack([p[m] for p in hi]) - np.stack([p[m] for p in lo])) / h
-                 for m in (0, 1))
-
-
-def test_product_rule_matches_differences_of_the_pencil(p_system):
-    rng = np.random.default_rng(9)
-    steps = 1e-5 * np.array([[p_system.delta0, 0.0, 0.0], [0.0, p_system.delta0, 0.0],
-                             [0.0, 0.0, 1.0]])
-    for model in (p_system, _product_rule_model(p_system)):
-        U = model.ball_samples(40)
-        v = rng.uniform(-0.95, 0.95, 40)
-        got = matrix_derivatives(model, U, v, steps, model.pencil(U, v))
-        ref = _pencil_differences(model, U, v, steps)
-        for g, r in zip(got, ref):
-            assert g.shape == (3, 40, 2, 2)
-            if model is p_system:  # A0 = B0 = I: dA0 = 0, nothing to round
-                np.testing.assert_array_equal(g, r)
-            else:
-                assert np.abs(r).max() > 1e-2
-                np.testing.assert_allclose(g, r, rtol=0, atol=1e-8)
-
-
-def test_derivative_keeps_unit_norm_and_solves_the_pencil(p_system):
-    # differentiating (K - mu_j B) r_j = 0 gives
-    # (K - mu_j B) dr_j = -(dK - mu_j dB) r_j + dmu_j B r_j, and |r_j| = 1
-    # gives r_j . dr_j = 0; checked along the color and a state direction
-    rng = np.random.default_rng(5)
-    U = p_system.ball_samples(30)
-    v = rng.uniform(-0.9, 0.9, 30)
-    xi = rng.uniform(-p_system.M, p_system.M, 30)
-    data = _eigen(p_system, U, v, xi)
-    pencil = p_system.pencil(U, v)
-    dA, dB = matrix_derivatives(p_system, U, v, [[0.0, 0.0, 1e-5], [1e-5, 0.0, 0.0]], pencil)
-    dR = eigenvector_derivative(data, dA, dB, U, v, xi)
-    np.testing.assert_allclose(np.einsum("mnij,nij->mni", dR, data.r_hat), 0.0, atol=1e-14)
-    A, B, _ = pencil
-    K = -xi[:, None, None] * np.eye(2) + A
-    for j in range(2):
-        r, mu = data.r_hat[:, j], data.mu[:, j, None, None]
-        dmu = np.einsum("ni,mnij,nj->mn", data.l_hat[:, j], dA - mu * dB, r)
-        lhs = np.einsum("nab,mnb->mna", K - mu * B, dR[:, :, j])
-        rhs = (-np.einsum("mnab,nb->mna", dA - mu * dB, r)
-               + dmu[..., None] * np.einsum("nab,nb->na", B, r))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 def test_complex_speeds_raise_typed_error_at_their_point():
     # B = I and A the rotation at the second point: -xi I + A has the
     # eigenvalues -xi +- i there
@@ -365,7 +291,7 @@ def test_complex_speeds_raise_typed_error_at_their_point():
 
 
 def test_coincident_speeds_raise_typed_error():
-    # A = 0: both speeds equal -xi, so the perturbation quotient has no gap
+    # A = 0: both speeds equal -xi, so r_hat is not defined by the pencil
     eye = np.eye(2)
 
     def ident(u, v):
@@ -377,10 +303,16 @@ def test_coincident_speeds_raise_typed_error():
         eta=0.0, nu=0.0, M=1.0, u_ref=np.zeros(2))
     U = np.array([[0.01, 0.0], [0.0, 0.02]])
     v, xi = np.array([0.3, -0.2]), np.array([0.5, 0.1])
-    data = _eigen(model, U, v, xi)
-    np.testing.assert_array_equal(data.mu, -xi[:, None] * np.ones(2))
     with pytest.raises(HyperbolicityError, match="coincident speeds") as err:
-        eigenvector_derivative(data, -eye, np.zeros((2, 2)), U, v, xi)
+        _eigen(model, U, v, xi)
     u, v0, xi0 = err.value.point
     np.testing.assert_array_equal(u, U[0])
     assert (v0, xi0) == (0.3, 0.5)
+    # the floor is GAP_FLOOR max(1, max |mu|): twice it passes, half of it
+    # raises at its point
+    A = np.stack([np.diag([0.0, 2.0 * GAP_FLOOR]), np.diag([0.0, 0.5 * GAP_FLOOR])])
+    B = np.broadcast_to(eye, A.shape)
+    pencil_eigen(A[:1], B[:1], U[:1], v[:1], np.zeros(1))
+    with pytest.raises(HyperbolicityError, match="coincident speeds") as err:
+        pencil_eigen(A, B, U, v, np.zeros(2))
+    assert err.value.point[1] == -0.2

@@ -15,18 +15,18 @@ from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
 from selfsim.system import (FIX_TOL, OUTER_TOL, ContractionFailure, SmallnessViolation,
-                            SystemSolveConfig, _converged, _coupling_source,
-                            admissible_jump_radius, assemble_coefficients,
-                            build_measures, correction_map, envelope_bound,
-                            equation_residual, reconstruct_u, solve_strength,
-                            solve_system, strength_matrix, weighted_norm)
+                            SystemSolveConfig, _converged, admissible_jump_radius,
+                            assemble_coefficients, build_measures, correction_map,
+                            envelope_bound, equation_residual, reconstruct_u,
+                            solve_frozen_path, solve_system, strength_matrix,
+                            weighted_norm)
 
 EPS = 0.1
 
 
 def _cubic_gamma_model(closed_form: bool = False):
     # gamma = u + 0.2 u^3 with B0 = 1 + 0.3 u^2 has A0 != I and B != I, so
-    # the xi and u rows of the coupling and A0^{-1} enter the system solve
+    # the coupling's state dependence and A0^{-1} enter the system solve
     # (eta > 0).
     # Without closed_form, gamma' and f' are the builder's finite differences.
     def gamma(u):
@@ -67,7 +67,7 @@ def _state_dependent_viscosity(p_system):
 
 def _distinct_halves_model():
     """Burgers flux with gamma_- = u and gamma_+ = 1.5 u: B = 1 / gamma'
-    changes across the color layer, so the coupling's color row is nonzero."""
+    changes across the color layer, so the coupling has a color part."""
     def identity(w):
         return np.asarray(w, dtype=float)
 
@@ -228,48 +228,72 @@ def test_profile_leaving_the_ball_names_the_point(p_system):
 def test_coefficient_fields_shapes_and_xi_row(p_system):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
-    prof = ColorProfile(EPS, 1.0, p_system.M)
-    v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
     U = np.tile(p_system.u_ref, (n, 1))
-    coeffs = assemble_coefficients(p_system, U, v, xi, psi)
+    coeffs = assemble_coefficients(p_system, U, ColorProfile(EPS, 1.0, p_system.M).evaluate_v(xi), xi)
     assert [f.name for f in dataclasses.fields(coeffs)] == [
-        "xi", "psi", "mu", "r_hat", "A0_inv", "coupling"]
-    assert coeffs.coupling.shape == (n, 4, 2, 2)
-    # B = I: B d_xi r_hat = d_xi r_hat, and r_hat is xi-independent at fixed
-    # (u, v), so the xi row vanishes to rounding
-    assert np.abs(coeffs.coupling[:, 0]).max() <= 1e-15
-    # the color row is nonzero: eigenvectors rotate with the color
-    assert np.abs(coeffs.coupling[:, 3]).max() > 1e-4
+        "xi", "mu", "r_hat", "A0_inv", "coupling"]
+    assert coeffs.coupling.shape == (n, 2, 2)
+    # B = I and r_hat is xi-independent at fixed (u, v): along a path that
+    # moves in xi alone the coupling vanishes to rounding over the spacing
+    still = assemble_coefficients(p_system, U, np.full(n, 0.3), xi)
+    assert np.abs(still.coupling).max() <= 1e-14
+    # across the color layer it does not: eigenvectors rotate with the color
+    assert np.abs(coeffs.coupling).max() > 1e-4
 
 
-def test_perturbation_coefficients_match_eigensolve_differences(p_system):
-    # the cubic-gamma model takes closed-form gamma', f': the builder's
-    # finite-difference A0 carries ~1e-10 of rounding noise, which any
-    # difference quotient in u amplifies beyond this test's tolerance
-    cubic = system_from_scalar(_cubic_gamma_model(closed_form=True), u_center=0.5, delta0=0.4)
-    models = [p_system, cubic,
-              _state_dependent_viscosity(p_system), _resonant_p_system(p_system)]
-    rng = np.random.default_rng(11)
-    n, h = 40, 1e-4
+def _smooth_path(model, n):
+    """A path (xi, U, v) through the state ball on n grid points, with its
+    exact rates U' and psi = v'."""
+    xi = np.linspace(-model.M, model.M, n)
+    prof = ColorProfile(EPS, 1.0, model.M)
+    c = 0.3 * model.delta0 / np.sqrt(model.N)
+    U = model.u_ref + c * np.stack([np.tanh(xi + k) for k in range(model.N)], axis=1)
+    dU = c * np.stack([1.0 - np.tanh(xi + k) ** 2 for k in range(model.N)], axis=1)
+    return xi, U, prof.evaluate_v(xi), dU, prof.evaluate_psi(xi)
+
+
+def test_grid_coupling_matches_eigensolve_differences_at_second_order(p_system):
+    # the coupling is a central difference of B r_hat along the grid; the
+    # reference is the chain rule, (1, U', psi) contracted with the partial
+    # derivatives of whole eigensolves.  On nested grids the interior error
+    # falls at second order.  The cubic-gamma model takes closed-form gamma',
+    # f' here, so that the reference's 1e-4 state step sees no rounding noise
+    cubic, halves = (system_from_scalar(m, u_center=0.5, delta0=0.4)
+                     for m in (_cubic_gamma_model(closed_form=True), _distinct_halves_model()))
+    models = [p_system, cubic, _state_dependent_viscosity(p_system),
+              _resonant_p_system(p_system), halves]
+    h = 1e-4
     for model in models:
-        U = model.ball_samples(n)
-        v = rng.uniform(-0.95, 0.95, n)
-        xi = rng.uniform(-model.M, model.M, n)
-        coeffs = assemble_coefficients(model, U, v, xi, np.zeros(n))
-        ref = _difference_reference(model, U, v, xi, h)
-        half = _difference_reference(model, U, v, xi, h / 2.0)
-        # the reference is resolved: halving the step moves it by O(h^2)
-        assert np.abs(ref - half).max() <= 1e-8, model.name
-        assert np.abs(coeffs.coupling - ref).max() <= 1e-7, model.name
-        if model.name == "p-system-variable-B0":
-            # B != I: the xi row is exercised
-            assert np.abs(coeffs.coupling[:, 0]).max() > 1e-3
-        if model is cubic:
-            # N = 1 closed form: l (B r)_u = B'(u) / B with B = B0 / A0
-            u = U[:, 0]
-            a0, b0 = 1.0 + 0.6 * u ** 2, 1.0 + 0.3 * u ** 2
-            dB = (0.6 * u * a0 - 1.2 * u * b0) / a0 ** 2
-            assert np.abs(coeffs.coupling[:, 1, 0, 0] - dB * a0 / b0).max() <= 1e-9
+        errors = []
+        for n in (401, 801):
+            xi, U, v, dU, psi = _smooth_path(model, n)
+            ref = _difference_reference(model, U, v, xi, h)
+            rate = np.column_stack([np.ones(n), dU, psi])
+            total = np.einsum("nm,nmij->nij", rate, ref)
+            coupling = assemble_coefficients(model, U, v, xi).coupling
+            errors.append(np.abs(coupling - total)[1:-1].max() / np.abs(total).max())
+        assert errors[1] <= errors[0] / 3.5 and errors[1] <= 1e-3, (model.name, errors)
+
+
+def test_finite_difference_model_coupling_matches_the_closed_form():
+    # N = 1: r_hat = 1 and l_hat = 1/B, so the coupling along a solved profile
+    # is (B'(u) / B) u' with B = B0 / A0.  The builder's finite-difference A0
+    # carries about 1e-10 of rounding noise; a grid difference amplifies it
+    # by 1/spacing only, not by the 1e5/delta0 of a state step, so the coupling
+    # matches the closed form as closely as with closed-form gamma', f'
+    errors = []
+    for closed_form in (True, False):
+        model = system_from_scalar(_cubic_gamma_model(closed_form), u_center=0.5, delta0=0.4)
+        state = solve_system(model, SystemSolveConfig(eps=EPS, grid_size=599),
+                             np.array([0.52]), np.array([0.48]))
+        xi, u = state.u.xi, state.u.values[:, 0]
+        coupling = assemble_coefficients(model, state.u.values, state.v.values, xi).coupling
+        a0, b0 = 1.0 + 0.6 * u ** 2, 1.0 + 0.3 * u ** 2
+        dB = (0.6 * u * a0 - 1.2 * u * b0) / a0 ** 2
+        closed = dB * a0 / b0 * np.gradient(u, xi)
+        errors.append(np.abs(coupling[:, 0, 0] - closed)[1:-1].max() / np.abs(closed).max())
+    # the closed-form model's error is the grid's O(h^2), about 2e-6 here
+    assert errors[0] <= 1e-5 and errors[1] <= 2.0 * errors[0], errors
 
 
 def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
@@ -283,14 +307,13 @@ def test_assembly_makes_one_eigensolve(p_system, monkeypatch):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
-                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+                          np.linspace(-1.0, 1.0, n), xi)
     assert calls == [n]
 
 
 def test_assembly_forms_the_pencil_once(p_system):
-    # one pencil per point set: the n base points, shared by the eigensolve
-    # and the assembly, and the stacked shifted points of the matrix
-    # derivatives, where A0 is evaluated but not inverted
+    # one pencil, at the n points of the path, shared by the eigensolve and
+    # the coupling; the coupling differences along the grid, at no shifted point
     calls = []
 
     def A0(u, v):
@@ -301,13 +324,13 @@ def test_assembly_forms_the_pencil_once(p_system):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(model, np.tile(p_system.u_ref, (n, 1)),
-                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
-    assert calls == [n, 2 * (model.N + 1) * n]
+                          np.linspace(-1.0, 1.0, n), xi)
+    assert calls == [n]
 
 
 def test_assembly_inverts_3n_matrices(p_system, monkeypatch):
     # A0 once in the pencil, and B and B r_hat once each in the eigensolve,
-    # at the base points only, all through the one stacked inverse
+    # all through the one stacked inverse
     inv = selfsim.models._inv
     matrices = []
 
@@ -320,13 +343,14 @@ def test_assembly_inverts_3n_matrices(p_system, monkeypatch):
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
-                          np.linspace(-1.0, 1.0, n), xi, np.zeros(n))
+                          np.linspace(-1.0, 1.0, n), xi)
     assert matrices == [n] * 3
 
 
 def test_solve_builds_one_strength_matrix_per_outer_iteration(p_system, monkeypatch):
-    # one A0^-1-weighted matrix per outer iteration, shared by the envelope
-    # fit and the strength Newton, plus the unweighted one for beta
+    # one A0^-1-weighted matrix per outer iteration, the part of the
+    # strength solve's matrix without the corrections, plus the unweighted
+    # one for beta
     calls = []
 
     def counted(measures, cols):
@@ -380,13 +404,12 @@ def test_contraction_failure_says_ge_1_only_for_a_ratio_ge_1():
     diverged = ContractionFailure("correction map", 1.25, 3e-4)
     assert str(diverged) == ("correction map: measured contraction factor 1.25 >= 1, "
                              "last residual 3.000e-04")
-    stalled = ContractionFailure("strength solve (no convergence)", 0.5, 3e-4)
+    stalled = ContractionFailure("outer state iteration (no convergence)", 0.5, 3e-4)
     assert ">= 1" not in str(stalled) and "0.5" in str(stalled)
     assert (stalled.estimate, stalled.residual) == (0.5, 3e-4)
 
 
 @pytest.mark.parametrize("cap, stage", [("MAX_ITERS", "correction map"),
-                                        ("STRENGTH_MAX_ITERS", "strength solve"),
                                         ("OUTER_MAX_ITERS", "outer state iteration")])
 def test_no_convergence_reports_its_ratio_and_residual(p_system, monkeypatch, cap, stage):
     # two steps are too few for each level at 0.9 of the admissible radius;
@@ -402,6 +425,35 @@ def test_no_convergence_reports_its_ratio_and_residual(p_system, monkeypatch, ca
     assert err.stage == f"{stage} (no convergence)"
     assert 0.0 < err.estimate < 1.0 and err.residual > 0.0
     assert ">= 1" not in str(err) and f"{err.residual:.3e}" in str(err)
+
+
+def test_strength_gate_reports_the_boundary_residual(p_system, monkeypatch):
+    # the strength solve is exact, so the boundary residual |u(M) - u_R| is
+    # rounding; STRENGTH_TOL gates it on the returned profile, and a miss
+    # names the residual
+    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    uL = p_system.u_ref - np.array([0.0, jump / 2.0])
+    uR = p_system.u_ref + np.array([0.0, jump / 2.0])
+    residual = solve_system(p_system, SystemSolveConfig(eps=EPS), uL, uR).boundary_residual
+    assert 0.0 < residual <= selfsim.system.STRENGTH_TOL
+    monkeypatch.setattr(selfsim.system, "STRENGTH_TOL", residual / 2.0)
+    with pytest.raises(SmallnessViolation, match=f"misses u_R by {residual:.3e}"):
+        solve_system(p_system, SystemSolveConfig(eps=EPS), uL, uR)
+
+
+def test_boundary_residual_is_rounding(p_system):
+    # u(M) = u_L + S tau with tau = S^-1 (u_R - u_L): the returned profile
+    # meets u_R to rounding, at every jump size and direction
+    model = _state_dependent_viscosity(p_system)
+    for m in (p_system, model, _resonant_p_system(p_system)):
+        radius = admissible_jump_radius(m, m.delta0 / 4.0)
+        for frac in (0.01, 0.9):
+            for direction in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
+                jump = frac * radius * direction
+                state = solve_system(m, SystemSolveConfig(eps=EPS),
+                                     m.u_ref - jump / 2.0, m.u_ref + jump / 2.0)
+                bound = 1e-12 * max(float(np.linalg.norm(jump)), 1.0)
+                assert state.boundary_residual <= bound, (m.name, frac, direction)
 
 
 @pytest.mark.parametrize("variant", [lambda m: m, _state_dependent_viscosity,
@@ -420,24 +472,25 @@ def test_returned_state_is_within_the_tolerances(p_system, variant):
                 uL, uR = model.u_ref - jump / 2.0, model.u_ref + jump / 2.0
                 state = solve_system(model, SystemSolveConfig(eps=eps), uL, uR)
                 U, xi = state.u.values, state.u.xi
-                coeffs = assemble_coefficients(model, U, state.v.values, xi,
-                                               state.coefficients.psi)
+                coeffs = assemble_coefficients(model, U, state.v.values, xi)
                 measures = build_measures(model, coeffs, eps)
-                Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
-                tau, theta, _ = solve_strength(measures, coeffs, Ct, uL, uR, model.eta,
-                                               model.nu, state.envelope_constant, state.delta)
+                tau, theta, _, _ = solve_frozen_path(measures, coeffs, uL, uR, state.delta,
+                                                     np.zeros((2, len(xi), 2)))
                 U_next = reconstruct_u(measures, coeffs, tau[None, :] * measures.phi + theta, uL)
                 scale = max(float(np.linalg.norm(jump)), 1.0)
                 assert np.abs(U_next - U).max() <= OUTER_TOL * scale, (frac, direction, eps)
 
-                theta_next = correction_map(state.measures, state.coefficients,
-                                            state.tau, state.theta)
+                theta_next, = correction_map(state.measures, state.coefficients,
+                                             state.tau[None], state.theta[None])
                 tol = FIX_TOL * max(float(np.linalg.norm(state.tau)), 1.0)
                 assert weighted_norm(theta_next - state.theta, state.measures) <= tol
 
 
-def test_solve_makes_two_assemblies_and_at_most_17_correction_maps(p_system, monkeypatch):
-    # at eps 0.1 the outer loop stops on its second update's error bound
+def test_solve_makes_two_assemblies_and_at_most_8_correction_maps(p_system, monkeypatch):
+    # at eps 0.1 the outer loop stops on its second update's error bound;
+    # each outer iteration makes one batched correction solve, the second
+    # started from the first one's unit corrections, and records its
+    # measured contraction factor
     calls = {"assemble": 0, "correction": 0}
 
     def counting(name, fn):
@@ -451,16 +504,19 @@ def test_solve_makes_two_assemblies_and_at_most_17_correction_maps(p_system, mon
     monkeypatch.setattr(selfsim.system, "correction_map",
                         counting("correction", correction_map))
     jump = 0.01 * p_system.delta0
-    solve_system(p_system, SystemSolveConfig(eps=EPS),
-                 p_system.u_ref - np.array([jump / 2.0, 0.0]),
-                 p_system.u_ref + np.array([jump / 2.0, 0.0]))
-    assert calls["assemble"] == 2 and calls["correction"] <= 17, calls
+    state = solve_system(p_system, SystemSolveConfig(eps=EPS),
+                         p_system.u_ref - np.array([jump / 2.0, 0.0]),
+                         p_system.u_ref + np.array([jump / 2.0, 0.0]))
+    assert calls["assemble"] == 2 and calls["correction"] <= 8, calls
+    estimates = np.array(state.contraction_estimates)
+    assert len(estimates) == state.outer_iterations == 2
+    assert np.all(np.isfinite(estimates) & (estimates > 0.0) & (estimates < 1.0)), estimates
 
 
 def test_warm_started_solve_makes_at_most_11_correction_maps(p_system, monkeypatch):
-    # every correction solve after the first starts from the last theta, and
-    # the second outer iteration from the first one's (tau, theta); each
-    # correction solve still measures its contraction factor
+    # from the second outer iteration on, the unit corrections start from
+    # the last iteration's: at 0.9 of the admissible radius the solve takes
+    # 3 outer iterations and 11 batched maps, where starts from zero take 12
     calls = []
 
     def counted(*args):
@@ -468,22 +524,24 @@ def test_warm_started_solve_makes_at_most_11_correction_maps(p_system, monkeypat
         return correction_map(*args)
 
     monkeypatch.setattr(selfsim.system, "correction_map", counted)
-    jump = 0.01 * p_system.delta0
+    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0) * np.array([0.8, 0.6])
     state = solve_system(p_system, SystemSolveConfig(eps=EPS),
-                         p_system.u_ref - np.array([jump / 2.0, 0.0]),
-                         p_system.u_ref + np.array([jump / 2.0, 0.0]))
-    assert len(calls) <= 11 and state.outer_iterations == 2, len(calls)
+                         p_system.u_ref - jump / 2.0, p_system.u_ref + jump / 2.0)
+    assert len(calls) <= 11 and state.outer_iterations == 3, len(calls)
+    # only the first map of the solve starts from theta = 0
+    assert [not np.any(args[3]) for args in calls] == [True] + [False] * (len(calls) - 1)
     estimates = np.array(state.contraction_estimates)
-    assert len(estimates) >= 2 * state.outer_iterations
+    assert len(estimates) == state.outer_iterations
     assert np.all(np.isfinite(estimates) & (estimates > 0.0) & (estimates < 1.0)), estimates
 
 
 def test_zero_jump_returns_the_constant_state(p_system):
-    # tau = 0 makes the correction map's first update exactly 0, which
-    # stops it before a second map would measure a ratio of zeros
+    # tau = S^-1 0 = 0 exactly, so theta = 0 and the profile is u_L; the unit
+    # corrections still measure their contraction factor
     state = solve_system(p_system, SystemSolveConfig(eps=EPS), p_system.u_ref, p_system.u_ref)
     assert np.array_equal(state.u.values, np.tile(p_system.u_ref, (len(state.u.xi), 1)))
-    assert state.outer_iterations == 1 and state.contraction_estimates == (0.0,)
+    assert state.outer_iterations == 1 and len(state.contraction_estimates) == 1
+    assert 0.0 < state.contraction_estimates[0] < 1.0
 
 
 def test_nan_source_is_rejected_by_correction_map(p_system):
@@ -491,12 +549,12 @@ def test_nan_source_is_rejected_by_correction_map(p_system):
     xi = np.linspace(-p_system.M, p_system.M, n)
     prof = ColorProfile(EPS, 1.0, p_system.M)
     coeffs = assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
-                                   prof.evaluate_v(xi), xi, prof.evaluate_psi(xi))
+                                   prof.evaluate_v(xi), xi)
     measures = build_measures(p_system, coeffs, EPS)
-    theta = np.zeros((n, 2))
-    theta[n // 2, 0] = np.nan
+    theta = np.zeros((1, n, 2))
+    theta[0, n // 2, 0] = np.nan
     with pytest.raises(ValueError, match="finite nonnegative"):
-        correction_map(measures, coeffs, np.array([1e-3, 1e-3]), theta)
+        correction_map(measures, coeffs, np.array([[1e-3, 1e-3]]), theta)
 
 
 def _row_transfer(log_phi, log_source, x, anchor):
@@ -510,8 +568,9 @@ def _row_transfer(log_phi, log_source, x, anchor):
 
 
 def _per_family_correction(measures, coeffs, tau, theta):
-    """The correction map with one transfer call per family and sign."""
-    source = _coupling_source(coeffs, tau[None, :] * measures.phi + theta)
+    """The correction map at one strength with one transfer call per family
+    and sign."""
+    source = -(coeffs.coupling @ (tau[None, :] * measures.phi + theta)[..., None])[..., 0]
     out = np.empty_like(theta)
     for k in range(measures.N):
         pos, neg = (_row_transfer(measures.log_phi[:, k],
@@ -522,21 +581,43 @@ def _per_family_correction(measures, coeffs, tau, theta):
     return out
 
 
+def _layer_path(p_system, n):
+    xi = np.linspace(-p_system.M, p_system.M, n)
+    v = ColorProfile(EPS, 1.0, p_system.M).evaluate_v(xi)
+    jump = np.array([0.01 * p_system.delta0, 0.0])
+    return xi, p_system.u_ref - jump / 2.0 + jump * (v[:, None] + 1.0) / 2.0, v
+
+
 def test_stacked_correction_map_matches_per_family_transfers(p_system):
     n = 599
-    xi = np.linspace(-p_system.M, p_system.M, n)
-    prof = ColorProfile(EPS, 1.0, p_system.M)
-    v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
-    jump = np.array([0.01 * p_system.delta0, 0.0])
-    U = p_system.u_ref - jump / 2.0 + jump * (v[:, None] + 1.0) / 2.0
+    xi, U, v = _layer_path(p_system, n)
     tau = np.array([2e-3, -1e-3])
     for model in (p_system, _state_dependent_viscosity(p_system)):
-        coeffs = assemble_coefficients(model, U, v, xi, psi)
+        coeffs = assemble_coefficients(model, U, v, xi)
         measures = build_measures(model, coeffs, EPS)
         theta = np.zeros((n, 2))
         for _ in range(2):
-            new = correction_map(measures, coeffs, tau, theta)
+            new, = correction_map(measures, coeffs, tau[None], theta[None])
             assert np.array_equal(new, _per_family_correction(measures, coeffs, tau, theta))
+            assert np.abs(new).max() > 0.0
+            theta = new
+
+
+def test_batched_correction_map_matches_per_unit_maps(p_system):
+    # the N unit strengths in one call (2N^2 transfer rows) give, bit for
+    # bit, the N maps made one strength at a time
+    n = 599
+    xi, U, v = _layer_path(p_system, n)
+    for model in (p_system, _state_dependent_viscosity(p_system)):
+        coeffs = assemble_coefficients(model, U, v, xi)
+        measures = build_measures(model, coeffs, EPS)
+        units = np.eye(2)
+        theta = np.zeros((2, n, 2))
+        for _ in range(2):
+            new = correction_map(measures, coeffs, units, theta)
+            single = [correction_map(measures, coeffs, units[k:k + 1], theta[k:k + 1])[0]
+                      for k in range(2)]
+            assert np.array_equal(new, np.stack(single))
             assert np.abs(new).max() > 0.0
             theta = new
 
@@ -544,14 +625,10 @@ def test_stacked_correction_map_matches_per_family_transfers(p_system):
 def test_zero_correction_is_fixed_point_at_zero_strength(p_system):
     n = 128
     xi = np.linspace(-p_system.M, p_system.M, n)
-    prof = ColorProfile(EPS, 1.0, p_system.M)
-    v, psi = prof.evaluate_v(xi), prof.evaluate_psi(xi)
-    U = np.tile(p_system.u_ref, (n, 1))
-    coeffs = assemble_coefficients(p_system, U, v, xi, psi)
+    v = ColorProfile(EPS, 1.0, p_system.M).evaluate_v(xi)
+    coeffs = assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)), v, xi)
     measures = build_measures(p_system, coeffs, EPS)
-    tau = np.zeros(2)
-    theta = np.zeros((n, 2))
-    out = correction_map(measures, coeffs, tau, theta)
+    out, = correction_map(measures, coeffs, np.zeros((1, 2)), np.zeros((1, n, 2)))
     assert weighted_norm(out, measures) == 0.0
 
 
