@@ -28,8 +28,8 @@ from . import __version__
 from .color import ColorProfile
 from .diagnostics import (check_trace_windows, interface_trace_report,
                           ladder_cauchy)
-from .grid import default_grid_size, uniform_grid
-from .measures import build_phi_star, verify_bounds
+from .grid import uniform_grid
+from .measures import verify_bounds
 from .models import (ScalarCouplingModel, SystemCouplingModel, model_from_config,
                      preset_model)
 from .scalar import ScalarSolveConfig, solve_scalar, trace_window_check
@@ -81,6 +81,16 @@ class RunConfig:
             if val is not None and not all(_is_number(x) for x in entries):
                 raise ConfigError(f"--{key} must be a number or a non-empty list of "
                                   f"numbers, got {val!r}")
+        # a value the command does not read is an error, not silently dropped
+        if self.eps is not None and ladder is not None:
+            raise ConfigError(f"give --eps or --eps-ladder, not both: got {self.eps!r} "
+                              f"and {ladder!r}")
+        for key in ("uL", "uR") if self.command == "spectral-sweep" else ("u",):
+            if getattr(self, key) is not None:
+                raise ConfigError(f"{self.command} does not read --{key}")
+        if (self.uL is None) != (self.uR is None):
+            raise ConfigError(f"{self.command} takes --uL and --uR together, got only "
+                              f"--{'uL' if self.uR is None else 'uR'}")
         for name, val, kind, what in (
                 ("--model", self.model, (str, dict), "a preset name or a model object"),
                 ("model_options", self.model_options, dict, "an object"),
@@ -500,14 +510,6 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     return ["solution.csv", "diagnostics.json"], ok
 
 
-def _frozen_eigen(model: SystemCouplingModel, u0: np.ndarray, xi: np.ndarray,
-                  v: np.ndarray):
-    """The pencil eigen-data of ``model`` frozen at the state ``u0`` on ``xi``."""
-    U = np.tile(u0, (len(xi), 1))
-    A, B, _ = model.pencil(U, v)
-    return pencil_eigen(A, B, U, v, xi)
-
-
 def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     model = _build_model(cfg, "system")
     eps = _single_eps(cfg)
@@ -518,7 +520,9 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
     u0 = np.atleast_1d(np.asarray(cfg.u, dtype=float) if cfg.u is not None else model.u_ref)
     if u0.shape != (model.N,):
         raise ConfigError(f"--u has shape {u0.shape}; the model has N = {model.N} components")
-    sweep = _frozen_eigen(model, u0, xi, v)
+    U = np.tile(u0, (n, 1))
+    A, B, _ = model.pencil(U, v)
+    sweep = pencil_eigen(A, B, U, v, xi)
     N = model.N
     header = ["xi"] + [f"mu_{i + 1}" for i in range(N)] \
         + [f"lambda_{i + 1}" for i in range(N)] + [f"d_{i + 1}" for i in range(N)]
@@ -534,23 +538,19 @@ def _cmd_spectral_sweep(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
 
 
 def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
+    """The lemma checks on the measures of a solve-system ladder, whose records
+    the report holds.  Without --uL/--uR both sides are u_ref: the zero jump,
+    whose measures are those of the eigendata frozen at u_ref."""
     ladder = _eps_list(cfg, need_ladder=True)
     model = _build_model(cfg, "system")
-    M = cfg.M if cfg.M is not None else model.M
-
-    def grid(eps):
-        return uniform_grid(M, cfg.grid if cfg.grid is not None else default_grid_size(M, eps))
-
-    def measure_factory(eps):
-        xi = grid(eps)
-        v = ColorProfile(eps, cfg.p, M).evaluate_v(xi)
-        mu = _frozen_eigen(model, model.u_ref, xi, v).mu
-        return build_phi_star(xi, mu, eps, model.lam_low, model.lam_high)
-
-    def psi_factory(eps):
-        return ColorProfile(eps, cfg.p, M).evaluate_psi(grid(eps))
-
-    report = verify_bounds(measure_factory, ladder, psi_factory)
+    if cfg.uL is None:
+        cfg = dataclasses.replace(cfg, uL=model.u_ref, uR=model.u_ref)
+    outputs, states, records, ok = _ladder(cfg, model, _system_rung, ladder, out)
+    rungs = dict(zip(ladder, states))
+    report = verify_bounds(
+        lambda eps: rungs[eps].measures, ladder,
+        lambda eps: ColorProfile(eps, cfg.p, rungs[eps].u.M).evaluate_psi(rungs[eps].u.xi))
+    report["records"] = records
     write_json(out / "lemma_report.json", report)
     with (out / "lemma_constants.csv").open("w") as fh:
         fh.write("check,eps,value,passed\n")
@@ -558,7 +558,7 @@ def _cmd_verify_lemmas(cfg: RunConfig, out: Path) -> tuple[list[str], bool]:
             for eps, val in check["per_eps"].items():
                 fh.write(f"\"{check['name']}\",{eps:.17g},{val:.17g},"
                          f"{int(check['passed'])}\n")
-    return ["lemma_report.json", "lemma_constants.csv"], bool(report["passed"])
+    return outputs + ["lemma_report.json", "lemma_constants.csv"], report["passed"] and ok
 
 
 def _ladder(cfg: RunConfig, model, rung, ladder: list[float], out: Path):

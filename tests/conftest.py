@@ -1,5 +1,8 @@
 """Shared fixtures: presets are built once per session (the p-system build
-runs a state-ball shrink loop and an eta/nu estimation sweep)."""
+runs a state-ball shrink loop and an eta/nu estimation sweep).  Shared
+helpers are imported from here: ``from conftest import shifted_p_system``."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,3 +28,13 @@ def p_system():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def shifted_p_system(p_system, s):
+    """The p-system with A1 + s A0, which moves every speed by s: at s in
+    family 1's band that band lies across the interface speed 0.
+    M = lam_high[-1] + s + 0.5 keeps family 2's shifted band inside the grid."""
+    return dataclasses.replace(
+        p_system, A1=lambda u, v: p_system.A1(u, v) + s * p_system.A0(u, v),
+        lam_low=p_system.lam_low + s, lam_high=p_system.lam_high + s,
+        M=float(p_system.lam_high[-1] + s + 0.5), name=f"p-system-shifted-{s:g}")

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import selfsim
+import selfsim.cli
 import selfsim.scalar
 from selfsim.cli import CSV_BLOCK_ROWS, ConfigError, main, parse_config, run, write_csv
 from selfsim.diagnostics import TraceWindowError
+from selfsim.system import admissible_jump_radius
 
 
 def _run(tmp_path, *args):
@@ -104,6 +106,45 @@ def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [cfg_file]
 
 
+def _flags(data: dict) -> list[str]:
+    """The flags that set the config-file values ``data``."""
+    return [arg for key, val in data.items()
+            for arg in (f"--{key.replace('_', '-')}",
+                        ",".join(map(str, val)) if isinstance(val, list) else str(val))]
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("solve-scalar", {"eps": 0.1, "eps_ladder": [0.05], "uL": 1.0, "uR": 0.0},
+     "give --eps or --eps-ladder, not both: got 0.1 and [0.05]"),
+    ("verify-lemmas", {"model": "two-band-fixture", "eps_ladder": [0.1, 0.05],
+                       "uL": 5.0, "uR": 7.0, "u": 3.0},
+     "verify-lemmas does not read --u"),
+    ("continuation", {"eps_ladder": [0.1, 0.05], "uL": 1.0, "uR": 0.0, "u": 0.5},
+     "continuation does not read --u"),
+    ("spectral-sweep", {"model": "p-system", "eps": 0.1, "uL": [1.25, 0.0]},
+     "spectral-sweep does not read --uL"),
+    ("spectral-sweep", {"model": "p-system", "eps": 0.1, "uR": [1.25, 0.0]},
+     "spectral-sweep does not read --uR"),
+    ("verify-lemmas", {"model": "p-system", "eps_ladder": [0.1, 0.05], "uL": [1.25, 0.0]},
+     "verify-lemmas takes --uL and --uR together, got only --uL"),
+    ("solve-system", {"model": "p-system", "eps": 0.1, "uR": [1.25, 0.0]},
+     "solve-system takes --uL and --uR together, got only --uR"),
+], ids=["eps-and-ladder", "u-on-verify-lemmas", "u-on-continuation", "uL-on-spectral-sweep",
+        "uR-on-spectral-sweep", "verify-lemmas-uL-only", "solve-system-uR-only"])
+def test_a_value_the_command_does_not_read_is_a_config_error(tmp_path, capsys, command, data,
+                                                             message):
+    # as a flag and as a config-file key alike, before any file is written
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(data))
+    out = ["--out", str(tmp_path / "run")]
+    for argv in ([command, *_flags(data), *out], [command, "--config", str(cfg_file), *out]):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
 def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
     # well-typed, so it passes parse_config; the model it names takes no vector data
     message = "a scalar model takes a number for --uL and --uR, got [1.0, 2.0] and 0.0"
@@ -158,7 +199,9 @@ def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, com
                                                            message):
     # well-typed, so it passes parse_config; the model cannot be built from it
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, "eps": 0.1, **data}))
+    # the verify-lemmas cases give a ladder, which --eps may not go with
+    eps = {} if "eps_ladder" in data else {"eps": 0.1}
+    cfg_file.write_text(json.dumps({"uL": 1.0, "uR": 0.0, **eps, **data}))
     argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
     with pytest.raises(ConfigError, match=re.escape(message)):
         run(parse_config(argv))
@@ -180,7 +223,8 @@ def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, com
 def test_model_options_the_model_cannot_take_are_a_config_error(tmp_path, capsys, command,
                                                                 data, message):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"eps": 0.1, "grid": 128, **data}))
+    eps = {} if "eps_ladder" in data else {"eps": 0.1}
+    cfg_file.write_text(json.dumps({"grid": 128, **eps, **data}))
     argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "run")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
@@ -188,16 +232,17 @@ def test_model_options_the_model_cannot_take_are_a_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command, model, data", [
-    ("solve-scalar", "p-system", ["--eps", "0.1"]),
-    ("solve-system", "burgers-identical", ["--eps", "0.1"]),
+    ("solve-scalar", "p-system", ["--eps", "0.1", "--uL", "1.0", "--uR", "0.0"]),
+    ("solve-system", "burgers-identical", ["--eps", "0.1", "--uL", "1.0", "--uR", "0.0"]),
     ("spectral-sweep", "burgers-identical", ["--eps", "0.1"]),
-    ("verify-lemmas", "burgers-identical", ["--eps-ladder", "0.1,0.05"]),
-    ("trace-report", "p-system", ["--eps-ladder", "0.1,0.05"]),
+    ("verify-lemmas", "burgers-identical",
+     ["--eps-ladder", "0.1,0.05", "--uL", "1.0", "--uR", "0.0"]),
+    ("trace-report", "p-system", ["--eps-ladder", "0.1,0.05", "--uL", "1.0", "--uR", "0.0"]),
 ], ids=["solve-scalar", "solve-system", "spectral-sweep", "verify-lemmas", "trace-report"])
 def test_command_on_a_model_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, command,
                                                                 model, data):
     kind = "scalar" if model == "p-system" else "system"
-    code, _ = _run(tmp_path, command, "--model", model, *data, "--uL", "1.0", "--uR", "0.0")
+    code, _ = _run(tmp_path, command, "--model", model, *data)
     assert code == 1
     assert capsys.readouterr().err == f"config error: {command} requires a {kind} model\n"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
@@ -379,13 +424,52 @@ def test_verify_lemmas_fixture(tmp_path):
 
 
 def test_verify_lemmas_p_system(tmp_path):
-    # measures from the model's eigendata frozen at u_ref
+    # no data: each rung solves the zero jump u_ref -> u_ref
     code, out = _run(tmp_path, "verify-lemmas", "--model", "p-system",
                      "--eps-ladder", "0.1,0.05", "--strict")
     assert code == 0
     report = json.loads((out / "lemma_report.json").read_text())
     assert len(report["checks"]) == 20
     assert all(check["passed"] for check in report["checks"])
+    assert [(r["eps"], r["tv_u"], r["tau"]) for r in report["records"]] == [
+        (0.1, 0.0, [0.0, 0.0]), (0.05, 0.0, [0.0, 0.0])]
+
+
+def test_verify_lemmas_checks_the_measures_of_the_given_data(tmp_path, p_system):
+    # a jump at 0.9 of the admissible radius: one solve and one record per rung
+    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0) * np.array([0.6, 0.8])
+    uL, uR = (",".join(map(repr, u.tolist()))
+              for u in (p_system.u_ref - jump / 2.0, p_system.u_ref + jump / 2.0))
+    ladder = [0.1, 0.05, 0.025]
+    code, out = _run(tmp_path, "verify-lemmas", "--model", "p-system", "--uL", uL, "--uR", uR,
+                     "--eps-ladder", ",".join(map(str, ladder)), "--strict")
+    assert code == 0
+    report = json.loads((out / "lemma_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+    assert len(report["checks"]) == 20
+    assert [r["eps"] for r in report["records"]] == ladder
+    assert all(r["tv_u"] > 0 for r in report["records"])
+    assert sorted(p.name for p in out.glob("solution_eps*.csv")) == [
+        "solution_eps0p025.csv", "solution_eps0p05.csv", "solution_eps0p1.csv"]
+    assert sorted(_manifest(out)["outputs"]) == sorted(
+        ["lemma_report.json", "lemma_constants.csv"]
+        + [p.name for p in out.glob("solution_eps*.csv")])
+
+
+def test_verify_lemmas_strict_requires_every_rung_to_pass(tmp_path, monkeypatch):
+    # the lemma checks pass; a rung whose own checks fail fails --strict
+    def failing_rung(*args):
+        state, record, _ = rung(*args)
+        return state, record, False
+
+    rung = selfsim.cli._system_rung
+    monkeypatch.setattr(selfsim.cli, "_system_rung", failing_rung)
+    argv = ["--model", "two-band-fixture", "--eps-ladder", "0.1,0.05"]
+    code, out = _run(tmp_path / "strict", "verify-lemmas", *argv, "--strict")
+    assert code == 2
+    assert json.loads((out / "lemma_report.json").read_text())["passed"] is True
+    code, _ = _run(tmp_path / "lenient", "verify-lemmas", *argv)
+    assert code == 0
 
 
 def test_system_commands_take_the_two_band_fixture(tmp_path):
@@ -415,8 +499,8 @@ def test_verify_lemmas_band_off_the_grid_is_a_typed_error(tmp_path, capsys):
                      "--eps-ladder", "0.1,0.05", "--M", "0.5")
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: ClassLViolation: family 1: band [-1.3, -1.1] holds no point of the grid "
-        "on [-0.5, 0.5]; M must be large enough to cover it\n")
+        "error: RuntimeError: rung eps=0.1: ClassLViolation: family 1: band [-1.3, -1.1] "
+        "holds no point of the grid on [-0.5, 0.5]; M must be large enough to cover it\n")
     assert _manifest(out)["complete"] is False
 
 

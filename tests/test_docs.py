@@ -2,9 +2,10 @@
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
-from selfsim.cli import build_parser
+from selfsim.cli import build_parser, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROW = re.compile(r"^\| `(\w+)` \| (`\w+`(?:, `\w+`)*) \| ([^|]+) \|")
@@ -43,3 +44,27 @@ def test_readme_flags_are_cli_options():
     flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", "\n".join(lines)))
     assert {"--eps-ladder", "--strict", "--config", "--uL"} <= flags
     assert flags <= _parser_options(), sorted(flags - _parser_options())
+
+
+def _readme_commands():
+    """The arguments of every ``selfsim`` command in the README's sh blocks,
+    backslash continuations joined, each with the last json block above it."""
+    json_block = None
+    for lang, body in re.findall(r"^```(\w+)\n(.*?)^```", README.read_text(), re.S | re.M):
+        if lang == "json":
+            json_block = body
+        elif lang == "sh":
+            for line in body.replace("\\\n", " ").splitlines():
+                if line.startswith("selfsim "):
+                    yield shlex.split(line)[1:], json_block
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    # a --config file is the json block the README shows above the command
+    monkeypatch.chdir(tmp_path)
+    commands = list(_readme_commands())
+    assert len(commands) >= 8
+    for argv, json_block in commands:
+        if "--config" in argv:
+            (tmp_path / argv[argv.index("--config") + 1]).write_text(json_block)
+        parse_config(argv)

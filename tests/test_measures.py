@@ -18,6 +18,9 @@ from selfsim.measures import (ClassLViolation, _transfer_via_rho, build_phi_star
                               compute_F, compute_J, compute_J_psi,
                               constant_speed_fields, verify_bounds)
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from
+from selfsim.system import SystemSolveConfig, admissible_jump_radius, solve_system
+
+from conftest import shifted_p_system
 
 M = 2.0
 EPS = 0.05
@@ -175,6 +178,27 @@ def test_verify_bounds_two_band_fixture():
     for check in report["checks"]:
         if check["name"].startswith("|J_{2->1}"):
             assert check["fitted_slope"] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 0.855, 1.2])
+def test_estimates_on_solved_measures_are_uniform_across_resonance(p_system, s):
+    # A1 + s A0 moves family 1's band from [-1.00, -0.71] through the
+    # interface speed 0 (s = 0.855) to [0.20, 0.49]: the estimates hold on
+    # the measures of the solved profiles, with the same J^psi constant
+    model = shifted_p_system(p_system, s)
+    jump = 0.05 * model.delta0 * np.array([1.0, 0.0])
+    assert np.linalg.norm(jump) <= admissible_jump_radius(model, model.delta0 / 4.0)
+    states = {eps: solve_system(model, SystemSolveConfig(eps=eps), model.u_ref - jump / 2.0,
+                                model.u_ref + jump / 2.0)
+              for eps in (0.1, 0.05, 0.025)}
+    report = verify_bounds(
+        lambda eps: states[eps].measures, list(states),
+        lambda eps: ColorProfile(eps, 1.0, model.M).evaluate_psi(states[eps].u.xi))
+    assert len(report["checks"]) == 20
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+    constant = next(c for c in report["checks"] if c["name"] == "J^psi fitted constant stability")
+    for value in constant["per_eps"].values():
+        assert value == pytest.approx(0.5, rel=0.01), (s, constant["per_eps"])
 
 
 def test_verify_bounds_single_family():

@@ -10,6 +10,8 @@ import selfsim.models
 import selfsim.spectral
 import selfsim.system
 from selfsim.color import ColorProfile
+from selfsim.grid import default_grid_size, uniform_grid
+from selfsim.measures import build_phi_star
 from selfsim.models import build_scalar_model, preset_model, system_from_scalar
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
@@ -20,6 +22,8 @@ from selfsim.system import (FIX_TOL, OUTER_TOL, ContractionFailure, SmallnessVio
                             envelope_bound, equation_residual, reconstruct_u,
                             solve_frozen_path, solve_system, strength_matrix,
                             weighted_norm)
+
+from conftest import shifted_p_system
 
 EPS = 0.1
 
@@ -84,14 +88,9 @@ def _distinct_halves_model():
 
 
 def _resonant_p_system(p_system):
-    """A1 + s A0 moves every speed by s: with s at the middle of family 1's
-    band, that band lies across the interface speed 0.  M = lam_high[-1] + 0.5
-    keeps family 2's shifted band inside the grid."""
-    s = -0.5 * (p_system.lam_low[0] + p_system.lam_high[0])
-    model = dataclasses.replace(
-        p_system, A1=lambda u, v: p_system.A1(u, v) + s * p_system.A0(u, v),
-        lam_low=p_system.lam_low + s, lam_high=p_system.lam_high + s,
-        M=float(p_system.lam_high[-1] + s + 0.5), name="p-system-resonant")
+    """The p-system shifted to the middle of family 1's band, which then lies
+    across the interface speed 0."""
+    model = shifted_p_system(p_system, -0.5 * (p_system.lam_low[0] + p_system.lam_high[0]))
     assert model.lam_low[0] < 0.0 < model.lam_high[0]
     return model
 
@@ -454,6 +453,26 @@ def test_boundary_residual_is_rounding(p_system):
                                      m.u_ref - jump / 2.0, m.u_ref + jump / 2.0)
                 bound = 1e-12 * max(float(np.linalg.norm(jump)), 1.0)
                 assert state.boundary_residual <= bound, (m.name, frac, direction)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0125])
+def test_zero_jump_measures_are_the_eigendata_frozen_at_u_ref(p_system, eps):
+    # verify-lemmas solves uL = uR = u_ref when given no data: its measures
+    # are, bit for bit, those of the pencil's eigendata frozen at u_ref on
+    # the default grid
+    for model in (p_system, preset_model("two-band-fixture"),
+                  preset_model("two-band-fixture", speeds=[-1.2, 0.0, 0.8])):
+        xi = uniform_grid(model.M, default_grid_size(model.M, eps))
+        v = ColorProfile(eps, 1.0, model.M).evaluate_v(xi)
+        U = np.tile(model.u_ref, (len(xi), 1))
+        A, B, _ = model.pencil(U, v)
+        frozen = build_phi_star(xi, pencil_eigen(A, B, U, v, xi).mu, eps,
+                                model.lam_low, model.lam_high)
+        solved = solve_system(model, SystemSolveConfig(eps=eps), model.u_ref,
+                              model.u_ref).measures
+        for f in dataclasses.fields(frozen):
+            assert np.array_equal(getattr(solved, f.name), getattr(frozen, f.name)), \
+                (model.name, model.N, f.name)
 
 
 @pytest.mark.parametrize("variant", [lambda m: m, _state_dependent_viscosity,
