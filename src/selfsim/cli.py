@@ -36,7 +36,7 @@ from .scalar import ScalarSolveConfig, solve_scalar, trace_window_check
 from .spectral import pencil_eigen
 from .system import SystemSolveConfig, solve_system
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 COMMANDS = ("solve-scalar", "solve-system", "spectral-sweep",
             "verify-lemmas", "continuation", "trace-report")

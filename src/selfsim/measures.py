@@ -71,8 +71,6 @@ def build_phi_star(xi: np.ndarray, mu: np.ndarray, eps: float,
     with the transfer anchors c at the band midpoints."""
     xi = np.asarray(xi, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim == 1:
-        mu = mu[:, None]
     n, N = mu.shape
     lam_low = np.asarray(lam_low, dtype=float)
     lam_high = np.asarray(lam_high, dtype=float)

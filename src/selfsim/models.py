@@ -300,15 +300,9 @@ def build_p_system_model(
 
 
 def system_from_scalar(model: ScalarCouplingModel, u_center: float,
-                       delta0: float | None = None) -> SystemCouplingModel:
+                       delta0: float) -> SystemCouplingModel:
     """Wrap a scalar model as an N = 1 system for cross-solver comparison;
     its speed band is sampled on a 64 x 64 (u, v) grid."""
-    if delta0 is None:
-        lo, hi = model.u_domain
-        delta0 = min(u_center - lo, hi - u_center)
-        if delta0 <= 0:
-            raise ModelConstructionError("u_center outside the scalar model domain")
-
     def wrap(f):
         def mat(u, v):
             vals = np.asarray(f(np.asarray(u, dtype=float)[..., 0], v), dtype=float)

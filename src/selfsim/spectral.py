@@ -160,30 +160,31 @@ def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     the colors of the hypothesis check, which include v = +-1;
     nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by central differences in
     v of whole eigensolves at interior colors, where the difference stays in
-    [-1, 1], each shifted r_hat matched in sign to the base point.  The
-    pencil is formed once per (state, color) sample and its two color
-    shifts, and repeated over the xi samples."""
+    [-1, 1].  Each (state, color) sample is followed by its shifts to v + h
+    and v - h, so the sign continuation of ``pencil_eigen`` matches each
+    shifted r_hat to the base point.  The pencil is formed once at these
+    triples, and each triple is repeated over the xi samples."""
+    N = model.N
     pts = model.ball_samples(ETA_NU_SAMPLES)
     colors = np.linspace(-1.0, 1.0, 9)
     _, B, _ = model.pencil(np.repeat(pts, len(colors), axis=0), np.tile(colors, len(pts)))
-    eta = np.linalg.norm(B - np.eye(model.N), 2, axis=(1, 2)).max()
+    eta = np.linalg.norm(B - np.eye(N), 2, axis=(1, 2)).max()
 
     h = COLOR_STEP
     vs = np.linspace(-1.0 + h, 1.0 - h, 9)
     xis = np.linspace(-model.M, model.M, 5)
-    # the (state, color) points, states outer, then their shifts to v + h and
-    # to v - h; every point is repeated over the xi samples
-    U, v = np.repeat(pts, len(vs), axis=0), np.tile(vs, len(pts))
-    shifts = np.concatenate([v + h, v - h])
-    A, B = (np.repeat(np.concatenate([m, m_shifted]), len(xis), axis=0) for m, m_shifted in
-            zip(model.pencil(U, v)[:2], model.pencil(np.tile(U, (2, 1)), shifts)[:2]))
-    data = pencil_eigen(A, B, np.repeat(np.tile(U, (3, 1)), len(xis), axis=0),
-                        np.repeat(np.concatenate([v, shifts]), len(xis)), np.tile(xis, 3 * len(v)))
-    R, R_hi, R_lo = np.split(data.r_hat, 3)
-    _, B_hi, B_lo = np.split(B, 3)
+    # (state, color) samples, states outer, each as the triple (v, v + h, v - h)
+    U = np.repeat(pts, 3 * len(vs), axis=0)
+    v = (np.tile(vs, len(pts))[:, None] + [0.0, h, -h]).ravel()
 
-    def BR(B, S):  # columns B r_hat_j, each r_hat_j matched in sign to the base point
-        return B @ np.swapaxes(S * np.sign(np.einsum("nij,nij->ni", R, S))[..., None], 1, 2)
+    def over_xi(x):  # every triple repeated over the xi samples, kept consecutive
+        triples = np.repeat(x.reshape(-1, 3, *x.shape[1:]), len(xis), axis=0)
+        return triples.reshape(-1, *x.shape[1:])
 
-    nu = np.abs(np.split(data.l_hat, 3)[0] @ (BR(B_hi, R_hi) - BR(B_lo, R_lo))).max() / (2.0 * h)
+    A, B = (over_xi(m) for m in model.pencil(U, v)[:2])
+    data = pencil_eigen(A, B, over_xi(U), over_xi(v), np.tile(np.repeat(xis, 3), len(pts) * len(vs)))
+    # columns B r_hat_j at (v, v + h, v - h)
+    BR = (B @ np.swapaxes(data.r_hat, 1, 2)).reshape(-1, 3, N, N)
+    L = data.l_hat[::3]
+    nu = np.abs(L @ (BR[:, 1] - BR[:, 2])).max() / (2.0 * h)
     return float(eta), float(nu)

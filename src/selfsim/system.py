@@ -47,6 +47,10 @@ PHI_SUM_FLOOR = 1e-300
 FIX_TOL, MAX_ITERS = 1e-12, 400
 STRENGTH_TOL = 1e-9
 OUTER_TOL, OUTER_MAX_ITERS = 1e-8, 40
+# the constant of the interaction estimate
+# |theta_k| <= ENVELOPE_C (eta t + t^2 + nu t) sum_h phi*_h, t = |tau|,
+# checked at every outer iteration
+ENVELOPE_C = 1.0
 
 
 class SmallnessViolation(RuntimeError):
@@ -128,10 +132,6 @@ class CoefficientFields:
     A0_inv: np.ndarray        # (n, N, N)
     coupling: np.ndarray      # (n, N, N), [point, i, j]
 
-    @property
-    def N(self) -> int:
-        return self.mu.shape[1]
-
 
 def assemble_coefficients(model: SystemCouplingModel, U: np.ndarray,
                           v: np.ndarray, xi: np.ndarray) -> CoefficientFields:
@@ -196,19 +196,18 @@ def correction_map(measures: WaveMeasureSet, coeffs: CoefficientFields,
 
 
 def solve_corrections(measures: WaveMeasureSet, coeffs: CoefficientFields,
-                      theta: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+                      theta: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Picard iteration of the correction map at the N unit strengths
     tau = e_k, batched, from ``theta`` (N, n, N); it stops on the error bound
     of the largest of the N E-norm updates, at ``tol``.  Returns
-    (theta, the first map, measured contraction factor).  It makes at least
-    two maps, so that the factor is a measured ratio, unless the first
-    update is exactly zero."""
+    (theta, measured contraction factor).  It makes at least two maps, so
+    that the factor is a measured ratio, unless the first update is exactly
+    zero."""
     units = np.eye(measures.N)
     alpha, q = 0.0, float("nan")
-    prev_update = first = None
+    prev_update = None
     for it in range(1, MAX_ITERS + 1):
         new = correction_map(measures, coeffs, units, theta)
-        first = new if first is None else first
         update = max(weighted_norm(d, measures) for d in new - theta)
         if prev_update is not None and prev_update > 0:
             q = update / prev_update
@@ -221,7 +220,7 @@ def solve_corrections(measures: WaveMeasureSet, coeffs: CoefficientFields,
         prev_update = update
     else:
         raise ContractionFailure("correction map (no convergence)", q, update)
-    return theta, first, alpha
+    return theta, alpha
 
 
 def strength_matrix(measures: WaveMeasureSet, cols: np.ndarray) -> np.ndarray:
@@ -243,15 +242,16 @@ def reconstruct_u(measures: WaveMeasureSet, coeffs: CoefficientFields,
 
 def solve_frozen_path(measures: WaveMeasureSet, coeffs: CoefficientFields,
                       u_left: np.ndarray, u_right: np.ndarray, delta: float,
-                      units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+                      units: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """One outer iteration's solve on the frozen path: the unit corrections
     theta^(k) from ``units`` (N, n, N), then the strength tau with
     u(M) = u_R.  The unit solves stop at FIX_TOL / (sqrt(N) min(delta, 1)),
     so that theta = sum_k tau_k theta^(k) meets FIX_TOL max(|tau|, 1) for
-    |tau| <= delta, which is checked.  Returns (tau, theta, units, info)."""
+    |tau| <= delta, which is checked.  Returns (tau, theta, units, the
+    measured contraction factor of the unit solves)."""
     N = measures.N
-    units, first, alpha = solve_corrections(measures, coeffs, units,
-                                            FIX_TOL / (np.sqrt(N) * min(delta, 1.0)))
+    units, alpha = solve_corrections(measures, coeffs, units,
+                                     FIX_TOL / (np.sqrt(N) * min(delta, 1.0)))
     Ct = strength_matrix(measures, coeffs.r_hat @ np.swapaxes(coeffs.A0_inv, 1, 2))
     S = Ct + np.trapezoid(_state_rate(coeffs, units), measures.xi, axis=1).T
     tau = np.linalg.solve(S, u_right - u_left)
@@ -259,26 +259,23 @@ def solve_frozen_path(measures: WaveMeasureSet, coeffs: CoefficientFields,
         raise SmallnessViolation(
             f"strength |tau|={np.linalg.norm(tau):.3e} escaped the "
             f"admissible ball of radius {delta:.3e}")
-    return tau, np.tensordot(tau, units, axes=1), units, {"first_map": first, "alpha": alpha}
+    return tau, np.tensordot(tau, units, axes=1), units, alpha
 
 
-def _envelope_constant(measures: WaveMeasureSet, probe: np.ndarray, tau: np.ndarray,
-                       eta: float, nu: float) -> float:
-    """A = 4 x the envelope ratio of the first correction map at ``tau``,
-    ``probe`` (with a floor for degenerate probes)."""
-    scale = envelope_bound(tau, eta, nu, 1.0)
-    if scale <= 0:
-        return 1.0
-    return max(4.0 * float(envelope_ratio(probe, measures).max()) / scale, 1e-6)
-
-
-def _check_envelope(theta: np.ndarray, measures: WaveMeasureSet, bound: float) -> None:
+def _check_envelope(theta: np.ndarray, measures: WaveMeasureSet, tau: np.ndarray,
+                    eta: float, nu: float) -> float:
+    """The interaction estimate at strength ``tau``: returns the measured
+    constant C = max |theta_k| / sum_h phi*_h over (eta t + t^2 + nu t),
+    0 at t = 0, and raises EnvelopeViolation where C exceeds ENVELOPE_C."""
     ratio = envelope_ratio(theta, measures)
     worst = float(ratio.max())
+    scale = envelope_bound(tau, eta, nu, 1.0)
+    bound = ENVELOPE_C * scale
     if worst > bound * (1.0 + 1e-9) + 1e-15:
         n_idx, k_idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         raise EnvelopeViolation(int(k_idx), float(measures.xi[n_idx]),
                                 worst / max(bound, 1e-300))
+    return worst / scale if scale > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,7 @@ class SystemSolveState:
     tv_u: float
     sup_eps_du: float
     beta: float
-    envelope_constant: float
+    envelope_constant: float  # the measured C of the interaction estimate
     delta: float
     # one per outer iteration: the largest measured ratio of its correction solve
     contraction_estimates: tuple[float, ...]
@@ -359,7 +356,6 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     blend = (v[:, None] + 1.0) / 2.0
     U = u_left[None, :] + (u_right - u_left)[None, :] * blend
 
-    eta, nu = model.eta, model.nu
     outer_res: list[float] = []
     alphas: list[float] = []
     scale = max(jump, 1.0)
@@ -369,15 +365,10 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
         coeffs = assemble_coefficients(model, U, v, xi)
         measures = build_measures(model, coeffs, config.eps)
         # the unit corrections start from the last iteration's
-        tau, theta, units, info = solve_frozen_path(measures, coeffs, u_left, u_right,
-                                                    delta, units)
-        alphas.append(info["alpha"])
-        if outer == 1:
-            # the envelope constant is fitted once, on the first map of the
-            # first iteration, at its strength
-            A = _envelope_constant(measures, np.tensordot(tau, info["first_map"], axes=1),
-                                   tau, eta, nu)
-        _check_envelope(theta, measures, envelope_bound(tau, eta, nu, A))
+        tau, theta, units, alpha = solve_frozen_path(measures, coeffs, u_left, u_right,
+                                                     delta, units)
+        alphas.append(alpha)
+        C = _check_envelope(theta, measures, tau, model.eta, model.nu)
         a = tau[None, :] * measures.phi + theta
         U_new = reconstruct_u(measures, coeffs, a, u_left)
         outer_res.append(float(np.abs(U_new - U).max()) / scale)
@@ -413,7 +404,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
         outer_residuals=tuple(outer_res),
         tv_u=u_fn.tv(),
         sup_eps_du=float(config.eps * np.linalg.norm(du, axis=1).max()),
-        beta=beta, envelope_constant=float(A), delta=delta,
+        beta=beta, envelope_constant=C, delta=delta,
         contraction_estimates=tuple(alphas),
         eps=config.eps, u_left=u_left, u_right=u_right,
     )

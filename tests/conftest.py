@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from selfsim.models import preset_model
+from selfsim.spectral import estimate_eta_nu
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,10 @@ def shifted_p_system(p_system, s):
         p_system, A1=lambda u, v: p_system.A1(u, v) + s * p_system.A0(u, v),
         lam_low=p_system.lam_low + s, lam_high=p_system.lam_high + s,
         M=float(p_system.lam_high[-1] + s + 0.5), name=f"p-system-shifted-{s:g}")
+
+
+def with_estimated_eta_nu(model):
+    """The model with (eta, nu) from ``estimate_eta_nu``, as the builders set
+    them: a variant that changes B0 must not keep its parent's constants."""
+    eta, nu = estimate_eta_nu(model)
+    return dataclasses.replace(model, eta=eta, nu=nu)

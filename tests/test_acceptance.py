@@ -18,7 +18,7 @@ from selfsim.measures import build_phi_star, constant_speed_fields, verify_bound
 from selfsim.models import preset_model, system_from_scalar
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
-from selfsim.system import SystemSolveConfig, envelope_bound, solve_system
+from selfsim.system import ENVELOPE_C, SystemSolveConfig, envelope_bound, solve_system
 
 LADDER4 = (0.1, 0.05, 0.025, 0.0125)
 LADDER3 = (0.1, 0.05, 0.025)
@@ -231,9 +231,8 @@ def test_criterion_09_correction_strength_contracts(p_system):
         # envelope (checked during the solve; re-assert on the final iterate)
         denom = np.maximum(st.measures.phi_sum(), 1e-300)
         worst = float((np.abs(st.theta) / denom[:, None]).max())
-        bound = envelope_bound(st.tau, p_system.eta, p_system.nu,
-                               st.envelope_constant)
-        ok = ok and worst <= bound * (1.0 + 1e-9)
+        bound = envelope_bound(st.tau, p_system.eta, p_system.nu, ENVELOPE_C)
+        ok = ok and worst <= bound * (1.0 + 1e-9) and st.envelope_constant <= ENVELOPE_C
         cap = 2.0 * A0_norm * st.beta * jump
         margin = float(np.linalg.norm(st.tau)) / cap
         worst_margin = max(worst_margin, margin)

@@ -350,7 +350,7 @@ def test_solve_scalar_artifacts(tmp_path):
                      "--uL", "1.0", "--uR", "0.0")
     assert code == 0
     diag = json.loads((out / "diagnostics.json").read_text())
-    assert diag["schema_version"] == 2
+    assert diag["schema_version"] == 3
     assert diag["monotone"] is True
     assert diag["tv_u"] <= 1.0 + 1e-9
     header = (out / "solution.csv").read_text().splitlines()[0]

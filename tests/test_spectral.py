@@ -14,6 +14,8 @@ from selfsim.spectral import (GAP_FLOOR, HyperbolicityError, _fix_signs, eig_dec
                               estimate_eta_nu, pencil_eigen)
 from selfsim.system import assemble_coefficients
 
+from conftest import with_estimated_eta_nu
+
 
 def _eigen(model, U, v, xi):
     """The model's pencil at the stacked points, through the kernel."""
@@ -216,8 +218,9 @@ def test_estimate_eta_nu_identity_viscosity(p_system):
 
 
 def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
-    # 24 ball states x 9 colors: the pencil for eta, the pencil for nu at the
-    # interior colors, and its two color shifts; none is formed per xi sample
+    # 24 ball states x 9 colors: the pencil for eta, and the pencil for nu at
+    # the interior colors, each with its two color shifts; none is formed
+    # per xi sample
     calls = []
 
     def A0(u, v):
@@ -225,7 +228,7 @@ def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
         return p_system.A0(u, v)
 
     estimate_eta_nu(dataclasses.replace(p_system, A0=A0))
-    assert calls == [216, 216, 432]
+    assert calls == [216, 648]
 
 
 def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):
@@ -269,12 +272,10 @@ def test_eta_covers_the_colors_of_the_hypothesis_check(p_system, c):
         out[..., 1, 1] = 1.0 + c * v / 2.0
         return out
 
-    model = dataclasses.replace(p_system, B0=B0)
-    eta, nu = estimate_eta_nu(model)
-    model = dataclasses.replace(model, eta=eta, nu=nu)
+    model = with_estimated_eta_nu(dataclasses.replace(p_system, B0=B0))
     check, = (ck for ck in validate_hypotheses(model)["checks"] if ck["name"] == "|B - I| <= eta")
     assert check["passed"], check
-    assert eta == pytest.approx(c / 2.0, rel=1e-12)
+    assert model.eta == pytest.approx(c / 2.0, rel=1e-12)
 
 
 def test_complex_speeds_raise_typed_error_at_their_point():

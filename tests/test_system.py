@@ -1,6 +1,7 @@
 """Small-system solver: contraction structure, envelopes, and estimates."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from selfsim.models import build_scalar_model, preset_model, system_from_scalar
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
-from selfsim.system import (FIX_TOL, OUTER_TOL, ContractionFailure, SmallnessViolation,
+from selfsim.system import (ENVELOPE_C, FIX_TOL, OUTER_TOL, ContractionFailure,
+                            EnvelopeViolation, SmallnessViolation,
                             SystemSolveConfig, _converged, admissible_jump_radius,
                             assemble_coefficients, build_measures, correction_map,
-                            envelope_bound, equation_residual, reconstruct_u,
+                            envelope_bound, envelope_ratio, equation_residual, reconstruct_u,
                             solve_frozen_path, solve_system, strength_matrix,
                             weighted_norm)
 
-from conftest import shifted_p_system
+from conftest import shifted_p_system, with_estimated_eta_nu
 
 EPS = 0.1
 
@@ -54,7 +56,8 @@ def _cubic_gamma_model(closed_form: bool = False):
 
 
 def _state_dependent_viscosity(p_system):
-    """The p-system with a B0 that depends on the state and the color."""
+    """The p-system with a B0 that depends on the state and the color, with
+    its own (eta, nu)."""
     tau0 = p_system.u_ref[0]
 
     def B0(u, v):
@@ -66,7 +69,7 @@ def _state_dependent_viscosity(p_system):
         out[..., 1, 1] = 1.0 + 0.2 * u[..., 1] + 0.1 * v
         return out
 
-    return dataclasses.replace(p_system, B0=B0, name="p-system-variable-B0")
+    return with_estimated_eta_nu(dataclasses.replace(p_system, B0=B0, name="p-system-variable-B0"))
 
 
 def _distinct_halves_model():
@@ -155,18 +158,65 @@ def test_contractions_strictly_below_one(p_state):
     assert max(p_state.contraction_estimates) < 1.0
 
 
-def test_correction_envelope_holds(p_state):
-    # p-system has B = I, so eta = 0 in the envelope
-    bound = envelope_bound(p_state.tau, 0.0, nu=_nu(p_state), A=p_state.envelope_constant)
+def test_correction_envelope_holds(p_state, p_system):
+    # p-system has B = I, so eta = 0 in the envelope; the recorded constant
+    # is the measured C of the returned theta
+    bound = envelope_bound(p_state.tau, 0.0, nu=p_system.nu, A=p_state.envelope_constant)
     denom = np.maximum(p_state.measures.phi_sum(), 1e-300)
     worst = float((np.abs(p_state.theta) / denom[:, None]).max())
-    assert worst <= bound * (1.0 + 1e-9)
+    assert worst == pytest.approx(bound, rel=1e-12)
+    assert 0.0 < p_state.envelope_constant <= ENVELOPE_C
 
 
-def _nu(state):
-    # recover nu from the fitted bound: with eta = 0 the envelope is
-    # A (|tau|^2 + nu |tau|); use the preset's estimated nu
-    return 0.03  # conservative upper bound for the k=1.0/1.2 preset
+def _law_states(model, direction, eps_values=(0.1, 0.0125)):
+    """Solves at each eps and at 0.01 and 0.9 of the admissible radius along
+    ``direction``, keyed by (eps, fraction)."""
+    radius = admissible_jump_radius(model, model.delta0 / 4.0)
+    unit = np.asarray(direction) / np.linalg.norm(direction)
+    states = {}
+    for eps in eps_values:
+        for frac in (0.01, 0.9):
+            jump = frac * radius * unit
+            states[eps, frac] = solve_system(model, SystemSolveConfig(eps=eps),
+                                             model.u_ref - jump / 2.0, model.u_ref + jump / 2.0)
+    return states
+
+
+def test_interaction_constant_belongs_to_the_model(p_system):
+    # the measured C of |theta_k| <= C (eta t + t^2 + nu t) sum_h phi*_h
+    # depends neither on the jump, over two decades, nor on resonance: it
+    # stays at most 0.32 on the p-system, its shifts across the interface
+    # speed and the variable-B0 variant, and grows by at most 1.46x from
+    # eps 0.1 to 0.0125
+    for model in (p_system, *(shifted_p_system(p_system, s) for s in (0.5, 0.855, 1.2)),
+                  _state_dependent_viscosity(p_system)):
+        C = {key: state.envelope_constant for key, state in
+             _law_states(model, [1.0, 0.7]).items()}
+        assert max(C.values()) <= 0.5, (model.name, C)
+        for frac in (0.01, 0.9):
+            assert C[0.0125, frac] <= 2.0 * C[0.1, frac], (model.name, C)
+
+
+def test_interaction_is_quadratic_in_the_strength_without_color_coupling():
+    # identical halves: eta = 0 and nu is rounding, so the envelope ratio is
+    # C t^2 and its slope in log |tau| over two decades of jump is 2
+    model = preset_model("p-system", k_plus=1.0)
+    assert model.eta == 0.0 and model.nu < 1e-10
+    states = _law_states(model, [1.0, 0.7])
+    for eps in (0.1, 0.0125):
+        small, large = states[eps, 0.01], states[eps, 0.9]
+        ratios = [float(envelope_ratio(s.theta, s.measures).max()) for s in (small, large)]
+        slope = (np.log(ratios[1] / ratios[0])
+                 / np.log(np.linalg.norm(large.tau) / np.linalg.norm(small.tau)))
+        assert slope == pytest.approx(2.0, abs=0.05), eps
+
+
+def test_constant_coefficients_make_no_interaction():
+    # the 3-speed fixture's eigenfields do not move, at any eps, so its
+    # coupling and its corrections vanish and C is rounding
+    model = preset_model("two-band-fixture", speeds=[-1.2, 0.0, 0.8])
+    for key, state in _law_states(model, [1.0, 0.7, 0.0], eps_values=(0.1,)).items():
+        assert state.envelope_constant <= 1e-12, key
 
 
 def test_strength_scales_with_jump(p_system):
@@ -438,6 +488,57 @@ def test_strength_gate_reports_the_boundary_residual(p_system, monkeypatch):
     monkeypatch.setattr(selfsim.system, "STRENGTH_TOL", residual / 2.0)
     with pytest.raises(SmallnessViolation, match=f"misses u_R by {residual:.3e}"):
         solve_system(p_system, SystemSolveConfig(eps=EPS), uL, uR)
+
+
+def test_envelope_gate_fails_a_model_with_stale_eta_nu(p_system):
+    # the variable-B0 variant keeping the p-system's (eta, nu) = (0, 0.025)
+    # instead of its own (0.136, 0.135): its theta is 1.84x the envelope
+    model = dataclasses.replace(_state_dependent_viscosity(p_system),
+                                eta=p_system.eta, nu=p_system.nu)
+    jump = 0.1 * admissible_jump_radius(model, model.delta0 / 4.0) * np.array([0.6, 0.8])
+    with pytest.raises(EnvelopeViolation, match=r"component 1 exceeds its admissible "
+                       r"envelope at xi=-0\.07\d+ \(ratio 1\.8\d+\)") as err:
+        solve_system(model, SystemSolveConfig(eps=EPS),
+                     model.u_ref - jump / 2.0, model.u_ref + jump / 2.0)
+    assert err.value.family == 0 and -0.08 < err.value.xi < -0.07
+
+
+def _frozen_p_system_path(p_system):
+    """Measures, coefficients and end states of ``_layer_path`` on 599 points."""
+    n = 599
+    xi, U, v = _layer_path(p_system, n)
+    coeffs = assemble_coefficients(p_system, U, v, xi)
+    return build_measures(p_system, coeffs, EPS), coeffs, U[0], U[-1]
+
+
+def test_strength_outside_the_ball_is_a_smallness_violation(p_system):
+    measures, coeffs, uL, uR = _frozen_p_system_path(p_system)
+    tau, _, _, _ = solve_frozen_path(measures, coeffs, uL, uR, 1.0, np.zeros((2, 599, 2)))
+    delta = 0.5 * float(np.linalg.norm(tau))
+    with pytest.raises(SmallnessViolation, match=re.escape(
+            f"strength |tau|={np.linalg.norm(tau):.3e} escaped the admissible ball "
+            f"of radius {delta:.3e}")):
+        solve_frozen_path(measures, coeffs, uL, uR, delta, np.zeros((2, 599, 2)))
+
+
+def test_singular_strength_matrix_is_a_smallness_violation(p_system):
+    measures, _, _, _ = _frozen_p_system_path(p_system)
+    with pytest.raises(SmallnessViolation, match="strength matrix singular to tolerance"):
+        strength_matrix(measures, np.zeros((599, 2, 2)))
+
+
+def test_diverging_correction_map_reports_its_factor(p_system, monkeypatch):
+    # a map theta -> 2 theta + tau phi* doubles every update: the solve stops
+    # at its fourth map with the measured factor 2
+    monkeypatch.setattr(selfsim.system, "correction_map",
+                        lambda measures, coeffs, tau, theta:
+                        2.0 * theta + tau[:, None, :] * measures.phi)
+    jump = np.array([0.01 * p_system.delta0, 0.0])
+    with pytest.raises(ContractionFailure, match="measured contraction factor 2 >= 1") as err:
+        solve_system(p_system, SystemSolveConfig(eps=EPS),
+                     p_system.u_ref - jump / 2.0, p_system.u_ref + jump / 2.0)
+    assert err.value.stage == "correction map" and err.value.estimate == pytest.approx(2.0)
+    assert err.value.residual > 0.0
 
 
 def test_boundary_residual_is_rounding(p_system):
