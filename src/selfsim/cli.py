@@ -182,8 +182,6 @@ def parse_config(argv) -> RunConfig:
             vals = _parse_floats(val)
             setattr(cfg, key, vals[0] if len(vals) == 1 else vals)
             overrides[key] = getattr(cfg, key)
-    if cfg.strict is None:
-        cfg.strict = False
     cfg.overrides = overrides
     cfg.validate()
     return cfg

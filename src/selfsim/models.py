@@ -22,10 +22,12 @@ class ModelConstructionError(ValueError):
 
 
 FD_STEP = 1e-6  # central-difference step of a derivative not given in closed form
-SCALAR_SAMPLES = 64      # (u, v) grid points per axis of a scalar model's constants
-P_SYSTEM_SAMPLES = 24    # tau, v grid points and ball states of a p-system's constants
-HYPOTHESIS_SAMPLES = 64  # ball states (scalar: grid points per axis) of the check
+P_SYSTEM_SAMPLES = 24    # tau, v grid points and ball states of a p-system's bands and ball
 A0_DET_FLOOR = 1e-12     # |det A0| at or below which a sampled A0 counts as singular
+# ball states, each at the colors _CHECK_COLORS (scalar: (u, v) grid points
+# per axis), of a model's constants and of the check that judges them
+HYPOTHESIS_SAMPLES = 64
+_CHECK_COLORS = np.linspace(-1.0, 1.0, 9)
 
 
 def finite_difference(fn: Callable) -> Callable:
@@ -116,8 +118,8 @@ def build_scalar_model(
         def B0(u, v):  # noqa: A001 - shadow on purpose
             return np.ones_like(np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
 
-    us = np.linspace(u_domain[0], u_domain[1], SCALAR_SAMPLES)
-    vs = np.linspace(-1.0, 1.0, SCALAR_SAMPLES)
+    us = np.linspace(u_domain[0], u_domain[1], HYPOTHESIS_SAMPLES)
+    vs = np.linspace(-1.0, 1.0, HYPOTHESIS_SAMPLES)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
 
     if np.any(dgm(us) <= 0) or np.any(dgp(us) <= 0):
@@ -227,7 +229,6 @@ def build_p_system_model(
     tau_domain: tuple[float, float] = (0.5, 2.0),
     dp_minus: Callable | None = None,
     dp_plus: Callable | None = None,
-    delta0: float | None = None,
     name: str = "p-system",
 ) -> SystemCouplingModel:
     """Two p-systems with pressure laws p_+-(tau), coupled by averaging the
@@ -257,8 +258,6 @@ def build_p_system_model(
     tau0 = 0.5 * (tau_domain[0] + tau_domain[1])
     u_ref = np.array([tau0, 0.0])
     gap0 = 2.0 * np.sqrt(-pbar_prime(tau0, 0.0))
-    if delta0 is None:
-        delta0 = min(gap0 / 4.0, 0.45 * (tau_domain[1] - tau_domain[0]))
 
     def make(d0: float) -> SystemCouplingModel:
         # speed bands over the state ball x color interval
@@ -285,7 +284,7 @@ def build_p_system_model(
 
     # shrink the state ball until eigenvector near-orthogonality holds
     # across sampled state pairs
-    model = make(delta0)
+    model = make(min(gap0 / 4.0, 0.45 * (tau_domain[1] - tau_domain[0])))
     for _ in range(12):
         worst_diag, worst_off = _near_orthogonality(model, P_SYSTEM_SAMPLES)
         if worst_diag >= 1.0 - model.delta0 and worst_off <= model.delta0:
@@ -302,15 +301,15 @@ def build_p_system_model(
 def system_from_scalar(model: ScalarCouplingModel, u_center: float,
                        delta0: float) -> SystemCouplingModel:
     """Wrap a scalar model as an N = 1 system for cross-solver comparison;
-    its speed band is sampled on a 64 x 64 (u, v) grid."""
+    its speed band is sampled on HYPOTHESIS_SAMPLES points per axis of (u, v)."""
     def wrap(f):
         def mat(u, v):
             vals = np.asarray(f(np.asarray(u, dtype=float)[..., 0], v), dtype=float)
             return np.broadcast_to(vals, _leading_shape(u, v))[..., None, None]
         return mat
 
-    us = np.linspace(u_center - delta0, u_center + delta0, 64)
-    vs = np.linspace(-1.0, 1.0, 64)
+    us = np.linspace(u_center - delta0, u_center + delta0, HYPOTHESIS_SAMPLES)
+    vs = np.linspace(-1.0, 1.0, HYPOTHESIS_SAMPLES)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
     lam = np.asarray(model.lam(UU, VV), dtype=float)
 
@@ -414,7 +413,7 @@ def _near_orthogonality(model: SystemCouplingModel, n: int) -> tuple[float, floa
 def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
     from .spectral import GAP_FLOOR, eig_decomposition
 
-    vs = np.linspace(-1.0, 1.0, 9)
+    vs = _CHECK_COLORS
     # every (state, color) sample, states outer
     U = np.repeat(model.ball_samples(n), len(vs), axis=0)
     V = np.tile(vs, n)

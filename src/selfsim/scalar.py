@@ -30,13 +30,12 @@ whatever the extrapolation did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .color import ColorProfile
 from .grid import GridFunction, default_grid_size, uniform_grid
-from .models import ScalarCouplingModel
+from .models import ScalarCouplingModel, affine_blend
 
 ANDERSON_DEPTH = 5
 ANDERSON_MIXING = 0.5
@@ -70,8 +69,7 @@ class ScalarSolveConfig:
     p: float = 1.0
     M: float = 2.0
     grid_size: int | None = None
-    # the fixed tolerance, readable on an instance for error budgets
-    fix_tol: ClassVar[float] = FIX_TOL
+    fix_tol = FIX_TOL  # for error budgets; unannotated, so not a field
 
     def __post_init__(self):
         if not all(np.isfinite(x) and x > 0 for x in (self.eps, self.p, self.M)):
@@ -90,15 +88,21 @@ class ScalarSolution:
     u: GridFunction
     v: GridFunction
     h: GridFunction
-    iterations: int
-    residual: float
     tv_u: float
     monotone: bool
     eps: float
     p: float
     u_left: float
     u_right: float
-    residuals: tuple = ()  # max|T(u) - u| / |jump| of every iteration
+    residuals: tuple  # max|T(u) - u| / |jump| of every iteration
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def residual(self) -> float:
+        return self.residuals[-1]
 
 
 def exponent_h(model: ScalarCouplingModel, u_tilde: GridFunction,
@@ -160,7 +164,7 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
         u = GridFunction(xi, vals)
     else:
         # monotone initial guess riding the color layer
-        u = GridFunction(xi, u_left + (u_right - u_left) * (v.values + 1.0) / 2.0)
+        u = GridFunction(xi, u_left + (u_right - u_left) * affine_blend(v.values))
 
     # type-II Anderson mixing of T: the last ANDERSON_DEPTH differences of
     # iterates (dU) and of residuals f = T(u) - u (dF), in rows 0..stored-1
@@ -218,7 +222,6 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
     h = exponent_h(model, u, v)
     return ScalarSolution(
         u=u, v=v, h=h,
-        iterations=it, residual=residuals[-1],
         tv_u=u.tv(), monotone=u.is_monotone(),
         eps=config.eps, p=config.p,
         u_left=float(u_left), u_right=float(u_right),

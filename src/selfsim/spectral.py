@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SystemCouplingModel, _inv
+from .models import _CHECK_COLORS, HYPOTHESIS_SAMPLES, SystemCouplingModel, _inv
 
 
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
@@ -31,7 +31,6 @@ GAP_FLOOR = 1e-8
 
 # color step of the central difference that ``estimate_eta_nu`` takes of B r_hat
 COLOR_STEP = 1e-5
-ETA_NU_SAMPLES = 24  # ball states sampled by ``estimate_eta_nu``
 
 
 class HyperbolicityError(ValueError):
@@ -157,7 +156,8 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
 
 def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     """eta = max sampled operator-norm distance of B from the identity, over
-    the colors of the hypothesis check, which include v = +-1;
+    the (state, color) samples of the hypothesis check: HYPOTHESIS_SAMPLES
+    ball states, each at the check's colors, which include v = +-1;
     nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by central differences in
     v of whole eigensolves at interior colors, where the difference stays in
     [-1, 1].  Each (state, color) sample is followed by its shifts to v + h
@@ -165,13 +165,13 @@ def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     shifted r_hat to the base point.  The pencil is formed once at these
     triples, and each triple is repeated over the xi samples."""
     N = model.N
-    pts = model.ball_samples(ETA_NU_SAMPLES)
-    colors = np.linspace(-1.0, 1.0, 9)
-    _, B, _ = model.pencil(np.repeat(pts, len(colors), axis=0), np.tile(colors, len(pts)))
+    pts = model.ball_samples(HYPOTHESIS_SAMPLES)
+    _, B, _ = model.pencil(np.repeat(pts, len(_CHECK_COLORS), axis=0),
+                           np.tile(_CHECK_COLORS, len(pts)))
     eta = np.linalg.norm(B - np.eye(N), 2, axis=(1, 2)).max()
 
     h = COLOR_STEP
-    vs = np.linspace(-1.0 + h, 1.0 - h, 9)
+    vs = np.linspace(-1.0 + h, 1.0 - h, len(_CHECK_COLORS))
     xis = np.linspace(-model.M, model.M, 5)
     # (state, color) samples, states outer, each as the triple (v, v + h, v - h)
     U = np.repeat(pts, 3 * len(vs), axis=0)

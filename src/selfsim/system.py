@@ -27,14 +27,13 @@ stops when it is within the tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .color import ColorProfile
 from .grid import GridFunction, default_grid_size, uniform_grid
 from .measures import WaveMeasureSet, build_phi_star
-from .models import SystemCouplingModel
+from .models import SystemCouplingModel, affine_blend
 from .quadrature import log_of, weighted_transfer
 from .spectral import pencil_eigen
 
@@ -47,6 +46,7 @@ PHI_SUM_FLOOR = 1e-300
 FIX_TOL, MAX_ITERS = 1e-12, 400
 STRENGTH_TOL = 1e-9
 OUTER_TOL, OUTER_MAX_ITERS = 1e-8, 40
+STRENGTH_BALL = 0.25  # delta = STRENGTH_BALL·delta0 bounds |tau| and the jump radius
 # the constant of the interaction estimate
 # |theta_k| <= ENVELOPE_C (eta t + t^2 + nu t) sum_h phi*_h, t = |tau|,
 # checked at every outer iteration
@@ -98,6 +98,7 @@ class EnvelopeViolation(RuntimeError):
             f"at xi={xi:.4f} (ratio {ratio:.3f})")
         self.family = k
         self.xi = xi
+        self.ratio = ratio
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,8 @@ class SystemSolveConfig:
     p: float = 1.0
     M: float | None = None
     grid_size: int | None = None
-    # the fixed tolerances, readable on an instance for error budgets
-    strength_tol: ClassVar[float] = STRENGTH_TOL
-    outer_tol: ClassVar[float] = OUTER_TOL
+    # for error budgets; unannotated, so not fields
+    strength_tol, outer_tol = STRENGTH_TOL, OUTER_TOL
 
     def __post_init__(self):
         positive = [self.eps, self.p]
@@ -325,9 +325,9 @@ def equation_residual(model: SystemCouplingModel, xi: np.ndarray, U: np.ndarray,
     return float(np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), 1e-300))
 
 
-def admissible_jump_radius(model: SystemCouplingModel, delta: float) -> float:
+def admissible_jump_radius(model: SystemCouplingModel) -> float:
     A0_norm = float(np.linalg.norm(model.A0(model.u_ref, 0.0), 2))
-    return delta / (2.0 * A0_norm)
+    return STRENGTH_BALL * model.delta0 / (2.0 * A0_norm)
 
 
 def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
@@ -341,8 +341,8 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     if not (model.in_ball(u_left) and model.in_ball(u_right)):
         raise SmallnessViolation("Riemann data outside the model state ball")
 
-    delta = model.delta0 / 4.0
-    r = admissible_jump_radius(model, delta)
+    delta = STRENGTH_BALL * model.delta0
+    r = admissible_jump_radius(model)
     jump = float(np.linalg.norm(u_right - u_left))
     if jump > r:
         raise SmallnessViolation(
@@ -353,8 +353,7 @@ def solve_system(model: SystemCouplingModel, config: SystemSolveConfig,
     xi = uniform_grid(M, n)
     v = ColorProfile(config.eps, config.p, M).evaluate_v(xi)
 
-    blend = (v[:, None] + 1.0) / 2.0
-    U = u_left[None, :] + (u_right - u_left)[None, :] * blend
+    U = u_left[None, :] + (u_right - u_left)[None, :] * affine_blend(v[:, None])
 
     outer_res: list[float] = []
     alphas: list[float] = []

@@ -81,6 +81,7 @@ def test_ladder_must_decrease():
     ({"out": 5}, "--out must be a path, got 5"),
     ({"model_options": 5}, "model_options must be an object, got 5"),
     ({"strict": "false"}, "--strict must be true or false, got 'false'"),
+    ({"strict": None}, "--strict must be true or false, got None"),
     ({"model": 5}, "--model must be a preset name or a model object, got 5"),
     ({"uL": "a"}, "--uL must be a number or a non-empty list of numbers, got 'a'"),
     ({"uL": True}, "--uL must be a number or a non-empty list of numbers, got True"),
@@ -89,7 +90,7 @@ def test_ladder_must_decrease():
      "--u must be a number or a non-empty list of numbers, got [0.1, None]"),
 ], ids=["eps-string", "eps-bool", "ladder-number", "ladder-empty",
         "ladder-string-entry", "grid-float", "out-number", "model-options-number",
-        "strict-string", "model-number", "uL-string", "uL-bool", "uR-empty",
+        "strict-string", "strict-null", "model-number", "uL-string", "uL-bool", "uR-empty",
         "u-null-entry"])
 def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                                data, message):
@@ -156,6 +157,15 @@ def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
+# B0 = u, which the builder reads and rejects; without "B0" it is 1
+_B0_SPEC = {"kind": "scalar", "gamma_minus": [0.0, 1.0], "gamma_plus": [0.0, 1.0],
+            "f_minus": [0.0, 0.0, 0.5], "f_plus": [0.0, 0.0, 0.5], "B0": [0.0, 1.0]}
+# p = 3 - tau + 0.1 tau^2 is hyperbolic for tau < 5: on the default
+# tau_domain [0.5, 2], not on [4, 6]
+_TAU_DOMAIN_SPEC = {"kind": "p-system", "p_minus": [3.0, -1.0, 0.1],
+                    "p_plus": [3.0, -1.0, 0.1], "tau_domain": [4.0, 6.0]}
+
+
 @pytest.mark.parametrize("command, data, message", [
     ("solve-scalar", {"model": {"kind": "preset"}},
      "cannot build the model {'kind': 'preset'} with options {}: KeyError: 'name'"),
@@ -192,9 +202,16 @@ def test_scalar_model_with_vector_data_is_a_config_error(tmp_path, capsys):
     ("solve-system", {"model": "p-system", "model_options": {"k_minus": -1.0}},
      "cannot build the model 'p-system' with options {'k_minus': -1.0}: "
      "ModelConstructionError: p'_+- must be negative on tau_domain (hyperbolicity)"),
+    ("solve-scalar", {"model": _B0_SPEC},
+     f"cannot build the model {_B0_SPEC!r} with options {{}}: "
+     "ModelConstructionError: sampled B0 violates positivity"),
+    ("solve-system", {"model": _TAU_DOMAIN_SPEC},
+     f"cannot build the model {_TAU_DOMAIN_SPEC!r} with options {{}}: "
+     "ModelConstructionError: p'_+- must be negative on tau_domain (hyperbolicity)"),
 ], ids=["preset-without-name", "unknown-option", "fixture-unknown-option",
         "fixture-string-speeds", "fixture-number-speeds", "fixture-empty-speeds",
-        "fixture-nan-speed", "fixture-negative-halfwidth", "p-system-negative-k"])
+        "fixture-nan-speed", "fixture-negative-halfwidth", "p-system-negative-k",
+        "scalar-config-B0", "p-system-config-tau-domain"])
 def test_model_spec_that_cannot_be_built_is_a_config_error(tmp_path, capsys, command, data,
                                                            message):
     # well-typed, so it passes parse_config; the model cannot be built from it
@@ -272,6 +289,9 @@ def test_vector_data_parsing():
                         "--eps", "0.1"])
     assert cfg.uL == [1.5, 0.0]
     assert cfg.uR == [1.51, 0.0]
+    with pytest.raises(ConfigError, match=re.escape("expected comma-separated numbers, "
+                                                    "got '1,a'")):
+        parse_config(["solve-system", "--uL", "1,a", "--uR", "1.51,0.0", "--eps", "0.1"])
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +314,10 @@ def test_single_solve_commands_reject_a_ladder(tmp_path, capsys, cmd, data):
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and "continuation" in err
+    # no eps at all
+    code, _ = _run(tmp_path / "none", cmd, *data)
+    assert code == 1
+    assert capsys.readouterr().err == "config error: provide --eps or --eps-ladder\n"
     # a one-rung ladder is one eps
     code, _ = _run(tmp_path / "rung", cmd, *data, "--eps-ladder", "0.1")
     assert code == 0
@@ -437,7 +461,7 @@ def test_verify_lemmas_p_system(tmp_path):
 
 def test_verify_lemmas_checks_the_measures_of_the_given_data(tmp_path, p_system):
     # a jump at 0.9 of the admissible radius: one solve and one record per rung
-    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0) * np.array([0.6, 0.8])
+    jump = 0.9 * admissible_jump_radius(p_system) * np.array([0.6, 0.8])
     uL, uR = (",".join(map(repr, u.tolist()))
               for u in (p_system.u_ref - jump / 2.0, p_system.u_ref + jump / 2.0))
     ladder = [0.1, 0.05, 0.025]

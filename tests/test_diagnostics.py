@@ -175,9 +175,8 @@ def _synthetic_solution(values_of_xi, eps, uL, uR, M=2.0, n=4001):
     xi = uniform_grid(M, n)
     u = GridFunction(xi, values_of_xi(xi))
     zero = GridFunction(xi, np.zeros_like(xi))
-    return ScalarSolution(u=u, v=zero, h=zero, iterations=1, residual=0.0,
-                          tv_u=u.tv(), monotone=u.is_monotone(), eps=eps,
-                          p=1.0, u_left=uL, u_right=uR)
+    return ScalarSolution(u=u, v=zero, h=zero, tv_u=u.tv(), monotone=u.is_monotone(),
+                          eps=eps, p=1.0, u_left=uL, u_right=uR, residuals=(0.0,))
 
 
 def test_one_sided_trace_extrapolates_linear_profile():

@@ -1,5 +1,6 @@
 """The README's tables against the code they describe."""
 
+import ast
 import importlib
 import re
 import shlex
@@ -18,9 +19,22 @@ def _solver_constant_rows():
             if ROW.match(line)]
 
 
+def _assigned_numeric_constants(module: str) -> set[str]:
+    """The UPPER_CASE int and float constants a module assigns itself, read
+    from its source, so that a constant it imports does not count."""
+    mod = importlib.import_module(f"selfsim.{module}")
+    names = {t.id for node in ast.parse(Path(mod.__file__).read_text()).body
+             if isinstance(node, ast.Assign)
+             for target in node.targets
+             for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+             if isinstance(t, ast.Name) and t.id.isupper()}
+    return {name for name in names if type(getattr(mod, name)) in (int, float)}
+
+
 def test_solver_constants_table_matches_the_modules():
     rows = _solver_constant_rows()
     assert len(rows) >= 15
+    listed = set()
     for module, names, values in rows:
         mod = importlib.import_module(f"selfsim.{module}")
         names = re.findall(r"`(\w+)`", names)
@@ -29,6 +43,11 @@ def test_solver_constants_table_matches_the_modules():
         for name, value in zip(names, values):
             assert hasattr(mod, name), f"README names {module}.{name}, which does not exist"
             assert getattr(mod, name) == float(value), (module, name, value)
+            listed.add((module, name))
+    # and the reverse: every numeric constant of these modules has a row
+    for module in ("scalar", "system", "spectral", "models", "measures", "diagnostics"):
+        missing = {(module, name) for name in _assigned_numeric_constants(module)} - listed
+        assert not missing, f"README's constants table has no row for {sorted(missing)}"
 
 
 def _parser_options() -> set[str]:

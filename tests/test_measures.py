@@ -187,7 +187,7 @@ def test_estimates_on_solved_measures_are_uniform_across_resonance(p_system, s):
     # the measures of the solved profiles, with the same J^psi constant
     model = shifted_p_system(p_system, s)
     jump = 0.05 * model.delta0 * np.array([1.0, 0.0])
-    assert np.linalg.norm(jump) <= admissible_jump_radius(model, model.delta0 / 4.0)
+    assert np.linalg.norm(jump) <= admissible_jump_radius(model)
     states = {eps: solve_system(model, SystemSolveConfig(eps=eps), model.u_ref - jump / 2.0,
                                 model.u_ref + jump / 2.0)
               for eps in (0.1, 0.05, 0.025)}

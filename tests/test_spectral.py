@@ -218,7 +218,7 @@ def test_estimate_eta_nu_identity_viscosity(p_system):
 
 
 def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
-    # 24 ball states x 9 colors: the pencil for eta, and the pencil for nu at
+    # 64 ball states x 9 colors: the pencil for eta, and the pencil for nu at
     # the interior colors, each with its two color shifts; none is formed
     # per xi sample
     calls = []
@@ -228,7 +228,7 @@ def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
         return p_system.A0(u, v)
 
     estimate_eta_nu(dataclasses.replace(p_system, A0=A0))
-    assert calls == [216, 648]
+    assert calls == [576, 1728]
 
 
 def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):

@@ -13,7 +13,8 @@ import selfsim.system
 from selfsim.color import ColorProfile
 from selfsim.grid import default_grid_size, uniform_grid
 from selfsim.measures import build_phi_star
-from selfsim.models import build_scalar_model, preset_model, system_from_scalar
+from selfsim.models import (build_scalar_model, preset_model, system_from_scalar,
+                            validate_hypotheses)
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
 from selfsim.spectral import pencil_eigen
@@ -88,6 +89,18 @@ def _distinct_halves_model():
         identity, lambda u: 1.5 * identity(u), flux, flux,
         d_gamma_minus=slope(1.0), d_gamma_plus=slope(1.5),
         d_f_minus=identity, d_f_plus=identity, name="distinct-halves")
+
+
+def test_every_model_passes_the_eta_check_of_its_own_constants(p_system, burgers):
+    # estimate_eta_nu takes eta on the (state, color) sample that
+    # validate_hypotheses checks, so the check measures eta itself
+    scalars = (_cubic_gamma_model(), _distinct_halves_model(), burgers)
+    models = [p_system, _state_dependent_viscosity(p_system),
+              *(system_from_scalar(m, u_center=0.5, delta0=0.4) for m in scalars)]
+    for model in models:
+        check, = (c for c in validate_hypotheses(model)["checks"]
+                  if c["name"] == "|B - I| <= eta")
+        assert check["passed"] and check["extremal"] == model.eta, (model.name, check)
 
 
 def _resonant_p_system(p_system):
@@ -171,7 +184,7 @@ def test_correction_envelope_holds(p_state, p_system):
 def _law_states(model, direction, eps_values=(0.1, 0.0125)):
     """Solves at each eps and at 0.01 and 0.9 of the admissible radius along
     ``direction``, keyed by (eps, fraction)."""
-    radius = admissible_jump_radius(model, model.delta0 / 4.0)
+    radius = admissible_jump_radius(model)
     unit = np.asarray(direction) / np.linalg.norm(direction)
     states = {}
     for eps in eps_values:
@@ -253,7 +266,7 @@ def test_riemann_data_of_the_wrong_dimension_rejected(p_system):
 
 
 def test_jump_exceeding_radius_rejected(p_system):
-    r = admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    r = admissible_jump_radius(p_system)
     uL = p_system.u_ref - np.array([r, 0.0])
     uR = p_system.u_ref + np.array([r, 0.0])
     assert np.linalg.norm(uR - uL) > r
@@ -264,7 +277,7 @@ def test_jump_exceeding_radius_rejected(p_system):
 def test_profile_leaving_the_ball_names_the_point(p_system):
     # data on the ball boundary with a tau jump: the p-system's intermediate
     # state bulges out of the ball, which the data checks cannot see
-    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    jump = 0.9 * admissible_jump_radius(p_system)
     d = np.sqrt(p_system.delta0 ** 2 - jump ** 2 / 4.0) * (1.0 - 1e-12)
     uL = p_system.u_ref + np.array([-jump / 2.0, d])
     uR = p_system.u_ref + np.array([jump / 2.0, d])
@@ -465,7 +478,7 @@ def test_no_convergence_reports_its_ratio_and_residual(p_system, monkeypatch, ca
     # the error carries the ratio of the last two updates (or residuals),
     # below 1, and the last one, not a residual called a contraction factor
     monkeypatch.setattr(selfsim.system, cap, 2)
-    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    jump = 0.9 * admissible_jump_radius(p_system)
     with pytest.raises(ContractionFailure) as info:
         solve_system(p_system, SystemSolveConfig(eps=EPS),
                      p_system.u_ref - np.array([0.0, jump / 2.0]),
@@ -480,7 +493,7 @@ def test_strength_gate_reports_the_boundary_residual(p_system, monkeypatch):
     # the strength solve is exact, so the boundary residual |u(M) - u_R| is
     # rounding; STRENGTH_TOL gates it on the returned profile, and a miss
     # names the residual
-    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0)
+    jump = 0.9 * admissible_jump_radius(p_system)
     uL = p_system.u_ref - np.array([0.0, jump / 2.0])
     uR = p_system.u_ref + np.array([0.0, jump / 2.0])
     residual = solve_system(p_system, SystemSolveConfig(eps=EPS), uL, uR).boundary_residual
@@ -492,15 +505,16 @@ def test_strength_gate_reports_the_boundary_residual(p_system, monkeypatch):
 
 def test_envelope_gate_fails_a_model_with_stale_eta_nu(p_system):
     # the variable-B0 variant keeping the p-system's (eta, nu) = (0, 0.025)
-    # instead of its own (0.136, 0.135): its theta is 1.84x the envelope
+    # instead of its own (0.139, 0.135): its theta is 1.84x the envelope
     model = dataclasses.replace(_state_dependent_viscosity(p_system),
                                 eta=p_system.eta, nu=p_system.nu)
-    jump = 0.1 * admissible_jump_radius(model, model.delta0 / 4.0) * np.array([0.6, 0.8])
+    jump = 0.1 * admissible_jump_radius(model) * np.array([0.6, 0.8])
     with pytest.raises(EnvelopeViolation, match=r"component 1 exceeds its admissible "
                        r"envelope at xi=-0\.07\d+ \(ratio 1\.8\d+\)") as err:
         solve_system(model, SystemSolveConfig(eps=EPS),
                      model.u_ref - jump / 2.0, model.u_ref + jump / 2.0)
     assert err.value.family == 0 and -0.08 < err.value.xi < -0.07
+    assert 1.8 < err.value.ratio < 1.9
 
 
 def _frozen_p_system_path(p_system):
@@ -546,7 +560,7 @@ def test_boundary_residual_is_rounding(p_system):
     # meets u_R to rounding, at every jump size and direction
     model = _state_dependent_viscosity(p_system)
     for m in (p_system, model, _resonant_p_system(p_system)):
-        radius = admissible_jump_radius(m, m.delta0 / 4.0)
+        radius = admissible_jump_radius(m)
         for frac in (0.01, 0.9):
             for direction in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
                 jump = frac * radius * direction
@@ -584,7 +598,7 @@ def test_returned_state_is_within_the_tolerances(p_system, variant):
     # outer step, and one more correction map, built by hand from the
     # returned state, move it by no more than the tolerances
     model = variant(p_system)
-    radius = admissible_jump_radius(model, model.delta0 / 4.0)
+    radius = admissible_jump_radius(model)
     for frac in (0.1, 0.9):
         for direction in np.eye(2):
             for eps in (0.1, 0.025):
@@ -644,7 +658,7 @@ def test_warm_started_solve_makes_at_most_11_correction_maps(p_system, monkeypat
         return correction_map(*args)
 
     monkeypatch.setattr(selfsim.system, "correction_map", counted)
-    jump = 0.9 * admissible_jump_radius(p_system, p_system.delta0 / 4.0) * np.array([0.8, 0.6])
+    jump = 0.9 * admissible_jump_radius(p_system) * np.array([0.8, 0.6])
     state = solve_system(p_system, SystemSolveConfig(eps=EPS),
                          p_system.u_ref - jump / 2.0, p_system.u_ref + jump / 2.0)
     assert len(calls) <= 11 and state.outer_iterations == 3, len(calls)
@@ -795,7 +809,7 @@ def test_two_band_fixture_solve_is_the_truncated_gaussian_cdf():
     model = preset_model("two-band-fixture")
     lam = np.array([-1.2, 0.4])
     uL = model.u_ref
-    jump = np.array([0.6, -0.5]) * admissible_jump_radius(model, model.delta0 / 4.0)
+    jump = np.array([0.6, -0.5]) * admissible_jump_radius(model)
     for eps in (0.1, 0.0125):
         state = solve_system(model, SystemSolveConfig(eps=eps), uL, uL + jump)
         scale = np.sqrt(2.0 * eps)
@@ -812,7 +826,7 @@ def test_equation_residual_falls_with_the_grid(p_system, variant):
     # the profile solves the README equation to the grid's second order, so
     # doubling the grid cuts the central-difference residual by about 4
     model = variant(p_system)
-    jump = 0.9 * admissible_jump_radius(model, model.delta0 / 4.0)
+    jump = 0.9 * admissible_jump_radius(model)
     uL = model.u_ref - np.array([jump / 2.0, 0.0])
     uR = model.u_ref + np.array([jump / 2.0, 0.0])
     res = []
