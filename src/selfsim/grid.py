@@ -54,7 +54,9 @@ class GridFunction:
         return float(np.sum(np.linalg.norm(d, axis=1)))
 
     def is_monotone(self) -> bool:
-        """Nondecreasing or nonincreasing, to a slack of 1e-12 per step."""
+        """Nondecreasing or nonincreasing in xi, to 1e-12 per step (scalar values only)."""
+        if self.values.ndim != 1:
+            raise ValueError("monotonicity only defined for scalar values")
         d = np.diff(self.values)
         return bool(np.all(d >= -1e-12) or np.all(d <= 1e-12))
 

@@ -163,7 +163,8 @@ def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     [-1, 1].  Each (state, color) sample is followed by its shifts to v + h
     and v - h, so the sign continuation of ``pencil_eigen`` matches each
     shifted r_hat to the base point.  The pencil is formed once at these
-    triples, and each triple is repeated over the xi samples."""
+    triples and solved at one xi sample at a time; the continuation only
+    sets each triple's overall sign, which |l_hat_i . (B r_hat_j)| drops."""
     N = model.N
     pts = model.ball_samples(HYPOTHESIS_SAMPLES)
     _, B, _ = model.pencil(np.repeat(pts, len(_CHECK_COLORS), axis=0),
@@ -177,14 +178,11 @@ def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
     U = np.repeat(pts, 3 * len(vs), axis=0)
     v = (np.tile(vs, len(pts))[:, None] + [0.0, h, -h]).ravel()
 
-    def over_xi(x):  # every triple repeated over the xi samples, kept consecutive
-        triples = np.repeat(x.reshape(-1, 3, *x.shape[1:]), len(xis), axis=0)
-        return triples.reshape(-1, *x.shape[1:])
-
-    A, B = (over_xi(m) for m in model.pencil(U, v)[:2])
-    data = pencil_eigen(A, B, over_xi(U), over_xi(v), np.tile(np.repeat(xis, 3), len(pts) * len(vs)))
-    # columns B r_hat_j at (v, v + h, v - h)
-    BR = (B @ np.swapaxes(data.r_hat, 1, 2)).reshape(-1, 3, N, N)
-    L = data.l_hat[::3]
-    nu = np.abs(L @ (BR[:, 1] - BR[:, 2])).max() / (2.0 * h)
-    return float(eta), float(nu)
+    A, B, _ = model.pencil(U, v)
+    nu = 0.0
+    for x in xis:
+        data = pencil_eigen(A, B, U, v, np.full(len(v), x))
+        # columns B r_hat_j at (v, v + h, v - h)
+        BR = (B @ np.swapaxes(data.r_hat, 1, 2)).reshape(-1, 3, N, N)
+        nu = max(nu, np.abs(data.l_hat[::3] @ (BR[:, 1] - BR[:, 2])).max())
+    return float(eta), float(nu / (2.0 * h))

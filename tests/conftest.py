@@ -3,6 +3,7 @@ runs a state-ball shrink loop and an eta/nu estimation sweep).  Shared
 helpers are imported from here: ``from conftest import shifted_p_system``."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,3 +47,16 @@ def with_estimated_eta_nu(model):
     them: a variant that changes B0 must not keep its parent's constants."""
     eta, nu = estimate_eta_nu(model)
     return dataclasses.replace(model, eta=eta, nu=nu)
+
+
+def traced_peak_mib(fn, *args):
+    """The peak of the memory that fn(*args) allocates through Python's
+    allocators while it runs, in MiB, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()

@@ -69,6 +69,18 @@ def test_monotone_iff_tv_equals_endpoint_gap(vals):
     assert f.tv() == pytest.approx(abs(np.sort(vals)[-1] - np.sort(vals)[0]))
 
 
+def test_monotone_compares_grid_neighbours_and_rejects_vector_values():
+    # components of vector values are not ordered in xi: (xi, 2 xi) rises in
+    # both, and (sin 6xi, sin 6xi + 1) in neither, so no one answer fits
+    xi = np.linspace(-1.0, 1.0, 5)
+    assert GridFunction(xi, 2.0 * xi).is_monotone()
+    assert not GridFunction(xi, np.sin(6.0 * xi)).is_monotone()
+    for values in (np.stack([xi, 2.0 * xi], axis=1),
+                   np.stack([np.sin(6.0 * xi), np.sin(6.0 * xi) + 1.0], axis=1)):
+        with pytest.raises(ValueError, match="scalar values"):
+            GridFunction(xi, values).is_monotone()
+
+
 def test_default_grid_size_resolves_layer():
     assert default_grid_size(2.0, 0.1) == 800
     assert default_grid_size(2.0, 1.0) == 512  # floor

@@ -14,7 +14,7 @@ from selfsim.spectral import (GAP_FLOOR, HyperbolicityError, _fix_signs, eig_dec
                               estimate_eta_nu, pencil_eigen)
 from selfsim.system import assemble_coefficients
 
-from conftest import with_estimated_eta_nu
+from conftest import traced_peak_mib, with_estimated_eta_nu
 
 
 def _eigen(model, U, v, xi):
@@ -229,6 +229,22 @@ def test_estimate_eta_nu_forms_the_pencil_once_per_state_and_color(p_system):
 
     estimate_eta_nu(dataclasses.replace(p_system, A0=A0))
     assert calls == [576, 1728]
+
+
+def test_estimate_eta_nu_solves_one_xi_sample_at_a_time(p_system, monkeypatch):
+    # the pencil at the 1,728 (state, color-triple) points is solved at each
+    # of the 5 xi samples in turn: one stack of all 8,640 (triple, xi)
+    # pencils peaks at 3.7 MiB, one xi sample at a time at 1.1 MiB
+    assert traced_peak_mib(estimate_eta_nu, p_system) <= 1.5
+    sizes = []
+
+    def counted(A, B, U, v, xi):
+        sizes.append(len(xi))
+        return pencil_eigen(A, B, U, v, xi)
+
+    monkeypatch.setattr(selfsim.spectral, "pencil_eigen", counted)
+    estimate_eta_nu(p_system)
+    assert sizes == [1728] * 5
 
 
 def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):

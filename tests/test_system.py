@@ -13,11 +13,12 @@ import selfsim.system
 from selfsim.color import ColorProfile
 from selfsim.grid import default_grid_size, uniform_grid
 from selfsim.measures import build_phi_star
-from selfsim.models import (build_scalar_model, preset_model, system_from_scalar,
+from selfsim.models import (_CHECK_COLORS, HYPOTHESIS_SAMPLES, SystemCouplingModel,
+                            build_scalar_model, preset_model, system_from_scalar,
                             validate_hypotheses)
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
-from selfsim.spectral import pencil_eigen
+from selfsim.spectral import COLOR_STEP, estimate_eta_nu, pencil_eigen
 from selfsim.system import (ENVELOPE_C, FIX_TOL, OUTER_TOL, ContractionFailure,
                             EnvelopeViolation, SmallnessViolation,
                             SystemSolveConfig, _converged, admissible_jump_radius,
@@ -101,6 +102,51 @@ def test_every_model_passes_the_eta_check_of_its_own_constants(p_system, burgers
         check, = (c for c in validate_hypotheses(model)["checks"]
                   if c["name"] == "|B - I| <= eta")
         assert check["passed"] and check["extremal"] == model.eta, (model.name, check)
+
+
+def _one_stack_eta_nu(model):
+    """(eta, nu) as ``estimate_eta_nu`` defines them, with every (state,
+    color) triple repeated over the 5 xi samples, each triple's copies kept
+    consecutive, and one ``pencil_eigen`` call over the whole stack."""
+    N, h = model.N, COLOR_STEP
+    pts = model.ball_samples(HYPOTHESIS_SAMPLES)
+    B = model.pencil(np.repeat(pts, len(_CHECK_COLORS), axis=0),
+                     np.tile(_CHECK_COLORS, len(pts)))[1]
+    eta = np.linalg.norm(B - np.eye(N), 2, axis=(1, 2)).max()
+    vs = np.linspace(-1.0 + h, 1.0 - h, len(_CHECK_COLORS))
+    xis = np.linspace(-model.M, model.M, 5)
+    U = np.repeat(pts, 3 * len(vs), axis=0)
+    v = (np.tile(vs, len(pts))[:, None] + [0.0, h, -h]).ravel()
+
+    def over_xi(x):
+        triples = np.repeat(x.reshape(-1, 3, *x.shape[1:]), len(xis), axis=0)
+        return triples.reshape(-1, *x.shape[1:])
+
+    A, B = (over_xi(m) for m in model.pencil(U, v)[:2])
+    data = pencil_eigen(A, B, over_xi(U), over_xi(v),
+                        np.tile(np.repeat(xis, 3), len(pts) * len(vs)))
+    BR = (B @ np.swapaxes(data.r_hat, 1, 2)).reshape(-1, 3, N, N)
+    nu = np.abs(data.l_hat[::3] @ (BR[:, 1] - BR[:, 2])).max() / (2.0 * h)
+    return float(eta), float(nu)
+
+
+def test_eta_nu_do_not_depend_on_how_the_samples_are_stacked(p_system, monkeypatch):
+    # the sign continuation of pencil_eigen runs along the stack, but it only
+    # sets each triple's overall sign, which |l_hat_i . (B r_hat_j)| drops:
+    # one xi sample at a time, one stack over all of them, and the ball
+    # states in reverse order give the same constants to the last bit
+    variable_B0 = _state_dependent_viscosity(p_system)
+    scalars = (_cubic_gamma_model(), _distinct_halves_model())
+    models = [p_system, preset_model("p-system", k_plus=1.0), variable_B0,
+              shifted_p_system(p_system, 0.855),
+              *(system_from_scalar(m, u_center=0.5, delta0=0.4) for m in scalars)]
+    for model in models:
+        assert estimate_eta_nu(model) == _one_stack_eta_nu(model), model.name
+    forward = [estimate_eta_nu(m) for m in (p_system, variable_B0)]
+    ball_samples = SystemCouplingModel.ball_samples
+    monkeypatch.setattr(SystemCouplingModel, "ball_samples",
+                        lambda self, count: ball_samples(self, count)[::-1])
+    assert [estimate_eta_nu(m) for m in (p_system, variable_B0)] == forward
 
 
 def _resonant_p_system(p_system):
