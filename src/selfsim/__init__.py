@@ -14,11 +14,12 @@ from .models import (
     SystemCouplingModel,
     build_scalar_model,
     build_p_system_model,
+    estimate_eta_nu,
     validate_hypotheses,
     preset_model,
 )
 from .scalar import ScalarSolveConfig, ScalarSolution, solve_scalar
-from .spectral import SpectralData, estimate_eta_nu
+from .spectral import SpectralData
 from .measures import WaveMeasureSet, build_phi_star
 from .system import SystemSolveConfig, SystemSolveState, solve_system
 from . import diagnostics

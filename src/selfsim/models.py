@@ -4,8 +4,11 @@ A scalar or small-system coupling model packages the coefficient fields
 A0, A1 (time/space coefficients) and B0 (viscosity), built from two
 half-model data sets (gamma_-, f_-) and (gamma_+, f_+) by interpolation in
 the color variable v, together with the structural constants (coercivity,
-Lipschitz, speed bound, band data) estimated by deterministic tensor-grid
-sampling.
+Lipschitz, speed bound, band data, eta and nu) estimated by deterministic
+sampling.  Each decision about a model's hypotheses is made here, once: one
+sample (``_uv_grid``, ``_check_samples``) sets the constants and checks them,
+and ``_near_orthogonality`` is the one near-orthogonality rule, by which the
+p-system builder also chooses its state ball.
 """
 
 from __future__ import annotations
@@ -16,18 +19,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .spectral import GAP_FLOOR, eig_decomposition, pencil_eigen, stacked_inv
+
 
 class ModelConstructionError(ValueError):
     """Raised when supplied half-model data violates a structural hypothesis."""
 
 
 FD_STEP = 1e-6  # central-difference step of a derivative not given in closed form
-P_SYSTEM_SAMPLES = 24    # tau, v grid points and ball states of a p-system's bands and ball
+P_SYSTEM_SAMPLES = 24    # tau, v grid points of a p-system's bands and hyperbolicity test
 A0_DET_FLOOR = 1e-12     # |det A0| at or below which a sampled A0 counts as singular
 # ball states, each at the colors _CHECK_COLORS (scalar: (u, v) grid points
-# per axis), of a model's constants and of the check that judges them
+# per axis), of a model's constants, of the check that judges them and of
+# the p-system builder's ball
 HYPOTHESIS_SAMPLES = 64
 _CHECK_COLORS = np.linspace(-1.0, 1.0, 9)
+# color step of the central difference that ``estimate_eta_nu`` takes of B r_hat
+COLOR_STEP = 1e-5
 
 
 def finite_difference(fn: Callable) -> Callable:
@@ -74,6 +82,12 @@ class ScalarCouplingModel:
         return bool(np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12))
 
 
+def _uv_grid(lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    """us in [lo, hi], vs in [-1, 1], HYPOTHESIS_SAMPLES each, and their grid UU, VV."""
+    us, vs = np.linspace(lo, hi, HYPOTHESIS_SAMPLES), np.linspace(-1.0, 1.0, HYPOTHESIS_SAMPLES)
+    return us, vs, *np.meshgrid(us, vs, indexing="ij")
+
+
 def _lipschitz(f2d: np.ndarray, us: np.ndarray, vs: np.ndarray) -> float:
     """Largest sampled |partial derivative| of f on the (us x vs) grid."""
     gu = np.abs(np.gradient(f2d, us[1] - us[0], axis=0)).max()
@@ -118,9 +132,7 @@ def build_scalar_model(
         def B0(u, v):  # noqa: A001 - shadow on purpose
             return np.ones_like(np.asarray(u, dtype=float) + np.asarray(v, dtype=float))
 
-    us = np.linspace(u_domain[0], u_domain[1], HYPOTHESIS_SAMPLES)
-    vs = np.linspace(-1.0, 1.0, HYPOTHESIS_SAMPLES)
-    UU, VV = np.meshgrid(us, vs, indexing="ij")
+    us, vs, UU, VV = _uv_grid(*u_domain)
 
     if np.any(dgm(us) <= 0) or np.any(dgp(us) <= 0):
         raise ModelConstructionError("gamma_+- must be strictly increasing on the u domain")
@@ -154,24 +166,6 @@ def _leading_shape(u, v) -> tuple:
     return np.broadcast_shapes(np.shape(u)[:-1], np.shape(v))
 
 
-def _inv(A) -> np.ndarray:
-    """Inverses of the stacked matrices A (..., N, N): the adjugate over the
-    determinant for N <= 2, where LAPACK's per-matrix overhead would dominate,
-    and ``np.linalg.inv`` above.  A singular matrix raises LinAlgError, as in
-    ``np.linalg.inv``."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[-1] > 2:
-        return np.linalg.inv(A)
-    if A.shape[-1] == 1:
-        det, adj = A[..., 0, 0], np.ones_like(A)
-    else:
-        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-        det, adj = a * d - b * c, np.stack([d, -b, -c, a], axis=-1).reshape(A.shape)
-    if not det.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det[..., None, None]
-
-
 @dataclass(frozen=True)
 class SystemCouplingModel:
     """Small-system coupling model.
@@ -199,7 +193,7 @@ class SystemCouplingModel:
     def pencil(self, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, B, A0^-1) at the stacked points, with A = A1 A0^-1 and
         B = B0 A0^-1 sharing one evaluation and one inversion of A0."""
-        A0_inv = _inv(self.A0(u, v))
+        A0_inv = stacked_inv(self.A0(u, v))
         return (np.asarray(self.A1(u, v)) @ A0_inv,
                 np.asarray(self.B0(u, v)) @ A0_inv, A0_inv)
 
@@ -282,18 +276,16 @@ def build_p_system_model(
             u_ref=u_ref, name=name,
         )
 
-    # shrink the state ball until eigenvector near-orthogonality holds
-    # across sampled state pairs
+    # shrink the state ball until it passes the check's eigenvector
+    # near-orthogonality
     model = make(min(gap0 / 4.0, 0.45 * (tau_domain[1] - tau_domain[0])))
     for _ in range(12):
-        worst_diag, worst_off = _near_orthogonality(model, P_SYSTEM_SAMPLES)
-        if worst_diag >= 1.0 - model.delta0 and worst_off <= model.delta0:
+        if all(c["passed"] for c in _near_orthogonality(model)):
             break
         model = make(model.delta0 * 0.6)
     else:
         raise ModelConstructionError("could not find a state ball satisfying "
                                      "eigenvector near-orthogonality")
-    from .spectral import estimate_eta_nu
     eta, nu = estimate_eta_nu(model)
     return dataclasses.replace(model, eta=float(eta), nu=float(nu))
 
@@ -308,9 +300,7 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
             return np.broadcast_to(vals, _leading_shape(u, v))[..., None, None]
         return mat
 
-    us = np.linspace(u_center - delta0, u_center + delta0, HYPOTHESIS_SAMPLES)
-    vs = np.linspace(-1.0, 1.0, HYPOTHESIS_SAMPLES)
-    UU, VV = np.meshgrid(us, vs, indexing="ij")
+    _, _, UU, VV = _uv_grid(u_center - delta0, u_center + delta0)
     lam = np.asarray(model.lam(UU, VV), dtype=float)
 
     sys_model = SystemCouplingModel(
@@ -324,13 +314,50 @@ def system_from_scalar(model: ScalarCouplingModel, u_center: float,
         u_ref=np.array([float(u_center)]),
         name=model.name + "-as-system",
     )
-    from .spectral import estimate_eta_nu
     eta, nu = estimate_eta_nu(sys_model)
     return dataclasses.replace(sys_model, eta=float(eta), nu=float(nu))
 
 
 # ---------------------------------------------------------------------------
-# hypothesis validation
+# the sampled constants eta, nu and the hypothesis check
+
+
+def _check_samples(model: SystemCouplingModel) -> tuple[np.ndarray, np.ndarray]:
+    """The (state, color) sample of a system model's eta and of its check:
+    HYPOTHESIS_SAMPLES ball states, states outer, each at _CHECK_COLORS."""
+    U = np.repeat(model.ball_samples(HYPOTHESIS_SAMPLES), len(_CHECK_COLORS), axis=0)
+    return U, np.tile(_CHECK_COLORS, HYPOTHESIS_SAMPLES)
+
+
+def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
+    """eta = max sampled operator-norm distance of B from the identity, on
+    the (state, color) sample of the hypothesis check;
+    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by central differences in
+    v of whole eigensolves at interior colors, where the difference stays in
+    [-1, 1].  Each (state, color) sample is followed by its shifts to v + h
+    and v - h, so the sign continuation of ``pencil_eigen`` matches each
+    shifted r_hat to the base point.  The pencil is formed once at these
+    triples and solved at one xi sample at a time; the continuation only
+    sets each triple's overall sign, which |l_hat_i . (B r_hat_j)| drops."""
+    N = model.N
+    U, V = _check_samples(model)
+    _, B, _ = model.pencil(U, V)
+    eta = np.linalg.norm(B - np.eye(N), 2, axis=(1, 2)).max()
+
+    h = COLOR_STEP
+    vs = np.linspace(-1.0 + h, 1.0 - h, len(_CHECK_COLORS))
+    # the check's states, each at the interior colors as the triple (v, v + h, v - h)
+    U = np.repeat(U, 3, axis=0)
+    v = (np.tile(vs, HYPOTHESIS_SAMPLES)[:, None] + [0.0, h, -h]).ravel()
+
+    A, B, _ = model.pencil(U, v)
+    nu = 0.0
+    for x in np.linspace(-model.M, model.M, 5):
+        data = pencil_eigen(A, B, U, v, np.full(len(v), x))
+        # columns B r_hat_j at (v, v + h, v - h)
+        BR = (B @ np.swapaxes(data.r_hat, 1, 2)).reshape(-1, 3, N, N)
+        nu = max(nu, np.abs(data.l_hat[::3] @ (BR[:, 1] - BR[:, 2])).max())
+    return float(eta), float(nu / (2.0 * h))
 
 
 def _check(name: str, extremal: float, passed: bool) -> dict:
@@ -341,19 +368,17 @@ def validate_hypotheses(model) -> dict:
     """Sampled verification of the structural hypotheses on a fixed,
     deterministic sample; failures are report entries, never exceptions."""
     if isinstance(model, ScalarCouplingModel):
-        checks = _validate_scalar(model, HYPOTHESIS_SAMPLES)
+        checks = _validate_scalar(model)
     elif isinstance(model, SystemCouplingModel):
-        checks = _validate_system(model, HYPOTHESIS_SAMPLES)
+        checks = _validate_system(model)
     else:
         raise TypeError(f"unknown model type {type(model)!r}")
     return {"model": model.name, "checks": checks,
             "passed": all(c["passed"] for c in checks)}
 
 
-def _validate_scalar(model: ScalarCouplingModel, n: int) -> list[dict]:
-    us = np.linspace(model.u_domain[0], model.u_domain[1], n)
-    vs = np.linspace(-1.0, 1.0, n)
-    UU, VV = np.meshgrid(us, vs, indexing="ij")
+def _validate_scalar(model: ScalarCouplingModel) -> list[dict]:
+    us, vs, UU, VV = _uv_grid(*model.u_domain)
     a0 = np.asarray(model.A0(UU, VV), dtype=float)
     b0 = np.asarray(model.B0(UU, VV), dtype=float)
     a1 = np.asarray(model.A1(UU, VV), dtype=float)
@@ -388,16 +413,15 @@ def _abs_det_A0(model: SystemCouplingModel, U, v) -> np.ndarray:
     return np.abs(np.linalg.det(np.asarray(model.A0(U, v), dtype=float)))
 
 
-def _near_orthogonality(model: SystemCouplingModel, n: int) -> tuple[float, float]:
-    """Worst sampled l_i(u1).r_i(u2) diagonal and off-diagonal magnitudes
-    across state pairs in the ball (hypothesis of approximate biorthogonality
-    uniformly over the ball), l_i the rows of R(u1)^-T; pairs without an
-    invertible A0 or a real spectrum are skipped."""
-    from .spectral import eig_decomposition
-
+def _near_orthogonality(model: SystemCouplingModel) -> list[dict]:
+    """The checks of approximate biorthogonality uniformly over the ball,
+    l_i(u1).r_i(u2) >= 1 - delta0 and |l_i(u1).r_j(u2)| <= delta0 (i != j),
+    on the worst of 32 sampled pairs of the HYPOTHESIS_SAMPLES ball states,
+    l_i the rows of R(u1)^-T; pairs without an invertible A0 or a real
+    spectrum are skipped."""
     rng = np.random.default_rng(0)
-    pts = model.ball_samples(n)
-    pair_idx = rng.integers(0, len(pts), size=(min(32, n), 2))
+    pts = model.ball_samples(HYPOTHESIS_SAMPLES)
+    pair_idx = rng.integers(0, len(pts), size=(32, 2))
     v = rng.uniform(-1.0, 1.0, size=len(pair_idx))
     u1, u2 = pts[pair_idx[:, 0]], pts[pair_idx[:, 1]]
     ok = np.minimum(_abs_det_A0(model, u1, v), _abs_det_A0(model, u2, v)) > A0_DET_FLOOR
@@ -406,17 +430,16 @@ def _near_orthogonality(model: SystemCouplingModel, n: int) -> tuple[float, floa
     l1 = np.linalg.inv(np.swapaxes(r1, -1, -2))
     cross = (l1 @ np.swapaxes(r2, -1, -2))[real1 & real2]
     off = np.where(np.eye(model.N, dtype=bool), 0.0, cross)
-    return (float(np.diagonal(cross, axis1=-2, axis2=-1).min(initial=1.0)),
-            float(np.abs(off).max(initial=0.0)))
+    worst_diag = np.diagonal(cross, axis1=-2, axis2=-1).min(initial=1.0)
+    worst_off = np.abs(off).max(initial=0.0)
+    return [
+        _check("l_i . r_i >= 1 - delta0", worst_diag, worst_diag >= 1.0 - model.delta0 - 1e-9),
+        _check("|l_i . r_j| <= delta0 (i != j)", worst_off, worst_off <= model.delta0 + 1e-9),
+    ]
 
 
-def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
-    from .spectral import GAP_FLOOR, eig_decomposition
-
-    vs = _CHECK_COLORS
-    # every (state, color) sample, states outer
-    U = np.repeat(model.ball_samples(n), len(vs), axis=0)
-    V = np.tile(vs, n)
+def _validate_system(model: SystemCouplingModel) -> list[dict]:
+    U, V = _check_samples(model)
     det = _abs_det_A0(model, U, V)
     # a singular A0 fails the first check; its samples skip the others
     ok = det > A0_DET_FLOOR
@@ -436,17 +459,13 @@ def _validate_system(model: SystemCouplingModel, n: int) -> list[dict]:
 
     gaps = model.lam_low[1:] - model.lam_high[:-1] if model.N > 1 else np.array([np.inf])
 
-    # eigenvector near-orthogonality across state pairs in the ball
-    worst_diag, worst_off = _near_orthogonality(model, n)
-
     return [
         _check("A0 invertible on samples", det.min(), bool(ok.all())),
         _check("real separated eigenvalues", min_gap, min_gap >= GAP_FLOOR),
         _check("eigenvalues inside bands", worst_band, band_ok),
         _check("bands disjoint", float(gaps.min()), bool(gaps.min() > 0)),
         _check("|B - I| <= eta", max_bnorm, max_bnorm <= model.eta + 1e-9),
-        _check("l_i . r_i >= 1 - delta0", worst_diag, worst_diag >= 1.0 - model.delta0 - 1e-9),
-        _check("|l_i . r_j| <= delta0 (i != j)", worst_off, worst_off <= model.delta0 + 1e-9),
+        *_near_orthogonality(model),
     ]
 
 

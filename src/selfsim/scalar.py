@@ -231,12 +231,11 @@ def solve_scalar(model: ScalarCouplingModel, config: ScalarSolveConfig,
 
 def trace_window_check(solution: ScalarSolution, model: ScalarCouplingModel) -> dict:
     """Sup deviation from the boundary data outside the characteristic range:
-    |u - u_R| on ((Lambda+M)/2, M] and |u - u_L| on [-M, -(Lambda+M)/2)."""
-    xi = solution.u.xi
-    M = solution.u.M
-    cut = 0.5 * (model.Lambda + M)
-    right = xi > cut
-    left = xi < -cut
-    dev_right = float(np.max(np.abs(solution.u.values[right] - solution.u_right))) if right.any() else 0.0
-    dev_left = float(np.max(np.abs(solution.u.values[left] - solution.u_left))) if left.any() else 0.0
-    return {"cut": float(cut), "sup_dev_left": dev_left, "sup_dev_right": dev_right}
+    |u - u_R| on ((Lambda+M)/2, M] and |u - u_L| on [-M, -(Lambda+M)/2).
+    A side whose window holds no grid point (M <= Lambda) reads None."""
+    xi, u = solution.u.xi, solution.u.values
+    cut = 0.5 * (model.Lambda + solution.u.M)
+    def sup_dev(side, data):
+        return float(np.max(np.abs(u[side] - data))) if side.any() else None
+    return {"cut": float(cut), "sup_dev_left": sup_dev(xi < -cut, solution.u_left),
+            "sup_dev_right": sup_dev(xi > cut, solution.u_right)}

@@ -6,15 +6,16 @@ Euclidean norm and left covectors l_hat_i satisfying l_hat_i . (B r_hat_j) =
 delta_ij.  The derived quantities lambda_hat_i = r_hat_i . A r_hat_i and
 d_i = 1 / (r_hat_i . B r_hat_i) give mu_i = (-xi + lambda_hat_i) d_i exactly.
 
-``eig_decomposition`` is the one eigensolve: stacked matrices in, sorted
-eigenvalues, unit eigenvectors with a sign rule and a realness mask out.
-For N <= 2 it is the quadratic formula, for N >= 3 ``np.linalg.eig``.
-``pencil_eigen`` builds the pencil's eigendata on it, at stacked points, from
-pencil matrices the caller formed once with ``SystemCouplingModel.pencil``,
-and raises ``HyperbolicityError`` where the speeds are complex or coincide.
-Nothing here differentiates the eigendata: the system solver differences
-B r_hat along its grid, and ``estimate_eta_nu`` differences whole eigensolves
-in the color.
+Kernels on stacked matrices, importing nothing from ``models``.  The one
+eigensolve, ``eig_decomposition``, takes stacked matrices to sorted
+eigenvalues, unit eigenvectors with a sign rule and a realness mask: the
+quadratic formula for N <= 2, ``np.linalg.eig`` for N >= 3.  The one stacked
+inverse is ``stacked_inv``.  ``pencil_eigen`` builds the pencil's eigendata
+on both, at stacked points, from pencil matrices the caller formed once with
+``SystemCouplingModel.pencil``, and raises ``HyperbolicityError`` where the
+speeds are complex or coincide.  Nothing here differentiates the eigendata:
+the system solver differences B r_hat along its grid, and
+``models.estimate_eta_nu`` differences whole eigensolves in the color.
 """
 
 from __future__ import annotations
@@ -23,14 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _CHECK_COLORS, HYPOTHESIS_SAMPLES, SystemCouplingModel, _inv
-
 
 # speeds closer than this fraction of max(1, max |mu|) count as coincident
 GAP_FLOOR = 1e-8
-
-# color step of the central difference that ``estimate_eta_nu`` takes of B r_hat
-COLOR_STEP = 1e-5
 
 
 class HyperbolicityError(ValueError):
@@ -112,6 +108,24 @@ def eig_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.take_along_axis(w.real, order, axis=-1), np.swapaxes(V, -1, -2), real
 
 
+def stacked_inv(A) -> np.ndarray:
+    """Inverses of the stacked matrices A (..., N, N): the adjugate over the
+    determinant for N <= 2, where LAPACK's per-matrix overhead would dominate,
+    and ``np.linalg.inv`` above.  A singular matrix raises LinAlgError, as in
+    ``np.linalg.inv``."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] > 2:
+        return np.linalg.inv(A)
+    if A.shape[-1] == 1:
+        det, adj = A[..., 0, 0], np.ones_like(A)
+    else:
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        det, adj = a * d - b * c, np.stack([d, -b, -c, a], axis=-1).reshape(A.shape)
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det[..., None, None]
+
+
 def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     """Eigendata of the pencil (-xi I + A, B), given its matrices A, B
     (n, N, N) at the stacked points (U[k], v[k], xi[k]), from
@@ -125,7 +139,7 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     eigenvectors.
     """
     shifted = -xi[:, None, None] * np.eye(A.shape[-1]) + A
-    _, R, real = eig_decomposition(_inv(B) @ shifted)
+    _, R, real = eig_decomposition(stacked_inv(B) @ shifted)
     if not real.all():
         k = int(np.argmin(real))
         raise HyperbolicityError(U[k], v[k], xi[k])
@@ -144,7 +158,7 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     if close.any():
         k = int(np.argmax(close))
         raise HyperbolicityError(U[k], v[k], xi[k], "coincident speeds")
-    L = _inv(BV)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
+    L = stacked_inv(BV)   # rows l_hat_i: l_hat_i . (B r_hat_j) = delta_ij
 
     R = np.swapaxes(V, 1, 2)
     flips = np.ones_like(mu)
@@ -153,36 +167,3 @@ def pencil_eigen(A: np.ndarray, B: np.ndarray, U, v, xi) -> SpectralData:
     return SpectralData(mu=mu, r_hat=R * flips[:, :, None],
                         l_hat=L * flips[:, :, None], lambda_hat=lam_hat, d=d)
 
-
-def estimate_eta_nu(model: SystemCouplingModel) -> tuple[float, float]:
-    """eta = max sampled operator-norm distance of B from the identity, over
-    the (state, color) samples of the hypothesis check: HYPOTHESIS_SAMPLES
-    ball states, each at the check's colors, which include v = +-1;
-    nu = max sampled |l_hat_i . d/dv (B r_hat_j)|, by central differences in
-    v of whole eigensolves at interior colors, where the difference stays in
-    [-1, 1].  Each (state, color) sample is followed by its shifts to v + h
-    and v - h, so the sign continuation of ``pencil_eigen`` matches each
-    shifted r_hat to the base point.  The pencil is formed once at these
-    triples and solved at one xi sample at a time; the continuation only
-    sets each triple's overall sign, which |l_hat_i . (B r_hat_j)| drops."""
-    N = model.N
-    pts = model.ball_samples(HYPOTHESIS_SAMPLES)
-    _, B, _ = model.pencil(np.repeat(pts, len(_CHECK_COLORS), axis=0),
-                           np.tile(_CHECK_COLORS, len(pts)))
-    eta = np.linalg.norm(B - np.eye(N), 2, axis=(1, 2)).max()
-
-    h = COLOR_STEP
-    vs = np.linspace(-1.0 + h, 1.0 - h, len(_CHECK_COLORS))
-    xis = np.linspace(-model.M, model.M, 5)
-    # (state, color) samples, states outer, each as the triple (v, v + h, v - h)
-    U = np.repeat(pts, 3 * len(vs), axis=0)
-    v = (np.tile(vs, len(pts))[:, None] + [0.0, h, -h]).ravel()
-
-    A, B, _ = model.pencil(U, v)
-    nu = 0.0
-    for x in xis:
-        data = pencil_eigen(A, B, U, v, np.full(len(v), x))
-        # columns B r_hat_j at (v, v + h, v - h)
-        BR = (B @ np.swapaxes(data.r_hat, 1, 2)).reshape(-1, 3, N, N)
-        nu = max(nu, np.abs(data.l_hat[::3] @ (BR[:, 1] - BR[:, 2])).max())
-    return float(eta), float(nu / (2.0 * h))

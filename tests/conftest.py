@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selfsim.models import preset_model
-from selfsim.spectral import estimate_eta_nu
+from selfsim.models import estimate_eta_nu, preset_model
 
 
 @pytest.fixture(scope="session")

@@ -383,6 +383,19 @@ def test_solve_scalar_artifacts(tmp_path):
     assert sorted(_manifest(out)["versions"]) == ["numpy", "selfsim"]
 
 
+def test_trace_window_records_null_for_a_window_without_grid_points(tmp_path):
+    # the windows lie beyond (Lambda + M)/2 = 0.475 from xi = 0: with
+    # M = 0.45 < Lambda = 0.5 they hold no grid point and measure nothing,
+    # while at the default M = Lambda + 1 they hold the boundary data
+    for M, empty in (("0.45", True), ("1.5", False)):
+        code, out = _run(tmp_path / M, "solve-scalar", "--model", "linear-advection-pair",
+                         "--uL", "1", "--uR", "0", "--eps", "0.05", "--M", M)
+        assert code == 0
+        window = json.loads((out / "diagnostics.json").read_text())["trace_window"]
+        for side in ("sup_dev_left", "sup_dev_right"):
+            assert (window[side] is None) if empty else (0.0 < window[side] < 1e-2), window
+
+
 def test_solve_system_artifacts(tmp_path):
     code, out = _run(tmp_path, "solve-system", "--model", "p-system",
                      "--eps", "0.1", "--uL", "1.249,0.0", "--uR", "1.251,0.0",

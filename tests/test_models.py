@@ -74,6 +74,22 @@ def test_validate_hypotheses_system(p_system):
     assert "l_i . r_i >= 1 - delta0" in names
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "preset", "name": "p-system"},
+    *({"kind": "preset", "name": "p-system", "options": {"k_plus": k}} for k in (1.0, 1.5, 2.0, 3.0)),
+    {"kind": "preset", "name": "p-system", "options": {"k_minus": 0.5, "k_plus": 3.0}},
+    {"kind": "p-system", "p_minus": [3.0, -1.0, 0.1], "p_plus": [3.0, -1.2, 0.1]},
+    {"kind": "p-system", "p_minus": [2.0, -1.0], "p_plus": [2.0, -1.5]},
+], ids=["default", "k_plus-1", "k_plus-1.5", "k_plus-2", "k_plus-3", "k_minus-0.5-k_plus-3",
+        "config-quadratic", "config-linear"])
+def test_every_p_system_passes_its_own_hypothesis_check(cfg):
+    # the builder shrinks its state ball until the check's own
+    # near-orthogonality checks pass on the check's own sample; at k_plus 2
+    # and 3 a smaller sample of ball states misses the eigenvector sign flip
+    report = validate_hypotheses(model_from_config(cfg))
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+
+
 def test_validate_hypotheses_is_deterministic(p_system):
     a = validate_hypotheses(p_system)
     b = validate_hypotheses(p_system)

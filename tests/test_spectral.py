@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+import selfsim.models
 import selfsim.spectral
 from selfsim.color import ColorProfile
 from selfsim.grid import uniform_grid
-from selfsim.models import SystemCouplingModel, _inv, preset_model, validate_hypotheses
+from selfsim.models import (SystemCouplingModel, estimate_eta_nu, preset_model,
+                            validate_hypotheses)
 from selfsim.spectral import (GAP_FLOOR, HyperbolicityError, _fix_signs, eig_decomposition,
-                              estimate_eta_nu, pencil_eigen)
+                              pencil_eigen, stacked_inv)
 from selfsim.system import assemble_coefficients
 
 from conftest import traced_peak_mib, with_estimated_eta_nu
@@ -136,10 +138,10 @@ def test_stacked_inverse_matches_lapack(rng, N):
     for scale in (1e-8, 1.0, 1e8):
         A = (rng.standard_normal((200, N, N)) + 2.0 * np.eye(N)) * scale
         A = A[np.linalg.cond(A) < 100.0]
-        np.testing.assert_allclose(_inv(A) @ A, np.broadcast_to(np.eye(N), A.shape), atol=1e-12)
-        np.testing.assert_allclose(_inv(A), np.linalg.inv(A), rtol=1e-12, atol=1e-12 / scale)
+        np.testing.assert_allclose(stacked_inv(A) @ A, np.broadcast_to(np.eye(N), A.shape), atol=1e-12)
+        np.testing.assert_allclose(stacked_inv(A), np.linalg.inv(A), rtol=1e-12, atol=1e-12 / scale)
     with pytest.raises(np.linalg.LinAlgError):
-        _inv(np.zeros((3, N, N)))
+        stacked_inv(np.zeros((3, N, N)))
 
 
 def test_pencil_identities_p_system(p_system):
@@ -242,7 +244,7 @@ def test_estimate_eta_nu_solves_one_xi_sample_at_a_time(p_system, monkeypatch):
         sizes.append(len(xi))
         return pencil_eigen(A, B, U, v, xi)
 
-    monkeypatch.setattr(selfsim.spectral, "pencil_eigen", counted)
+    monkeypatch.setattr(selfsim.models, "pencil_eigen", counted)
     estimate_eta_nu(p_system)
     assert sizes == [1728] * 5
 
@@ -263,6 +265,7 @@ def test_eig_is_called_only_by_eig_decomposition(p_system, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
     monkeypatch.setattr(selfsim.spectral, "eig_decomposition", counted_decomposition)
+    monkeypatch.setattr(selfsim.models, "eig_decomposition", counted_decomposition)
     n = 64
     for model in (p_system, preset_model("two-band-fixture", speeds=[-1.2, 0.4, 1.5])):
         decompositions.clear()

@@ -13,12 +13,12 @@ import selfsim.system
 from selfsim.color import ColorProfile
 from selfsim.grid import default_grid_size, uniform_grid
 from selfsim.measures import build_phi_star
-from selfsim.models import (_CHECK_COLORS, HYPOTHESIS_SAMPLES, SystemCouplingModel,
-                            build_scalar_model, preset_model, system_from_scalar,
-                            validate_hypotheses)
+from selfsim.models import (_CHECK_COLORS, COLOR_STEP, HYPOTHESIS_SAMPLES, SystemCouplingModel,
+                            build_scalar_model, estimate_eta_nu, preset_model,
+                            system_from_scalar, validate_hypotheses)
 from selfsim.quadrature import LOG_FLOOR, log_cumtrapz_from, log_of
 from selfsim.scalar import ScalarSolveConfig, solve_scalar
-from selfsim.spectral import COLOR_STEP, estimate_eta_nu, pencil_eigen
+from selfsim.spectral import pencil_eigen
 from selfsim.system import (ENVELOPE_C, FIX_TOL, OUTER_TOL, ContractionFailure,
                             EnvelopeViolation, SmallnessViolation,
                             SystemSolveConfig, _converged, admissible_jump_radius,
@@ -439,15 +439,15 @@ def test_assembly_forms_the_pencil_once(p_system):
 def test_assembly_inverts_3n_matrices(p_system, monkeypatch):
     # A0 once in the pencil, and B and B r_hat once each in the eigensolve,
     # all through the one stacked inverse
-    inv = selfsim.models._inv
+    inv = selfsim.spectral.stacked_inv
     matrices = []
 
     def counted(a):
         matrices.append(int(np.prod(np.shape(a)[:-2])))
         return inv(a)
 
-    monkeypatch.setattr(selfsim.models, "_inv", counted)
-    monkeypatch.setattr(selfsim.spectral, "_inv", counted)
+    monkeypatch.setattr(selfsim.models, "stacked_inv", counted)
+    monkeypatch.setattr(selfsim.spectral, "stacked_inv", counted)
     n = 64
     xi = np.linspace(-p_system.M, p_system.M, n)
     assemble_coefficients(p_system, np.tile(p_system.u_ref, (n, 1)),
